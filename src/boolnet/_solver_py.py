@@ -1,8 +1,4 @@
-"""Pure-Python search kernel for solving separation atoms.
-
-The compiled kernel (_solver_cy) mirrors this module decision for decision:
-both explore identical search trees, charge identical node counts, and report
-identical refutation cores, so either can back the public API.
+"""The search kernel for solving separation atoms, in pure Python.
 
 Search: depth-first assignment of event signatures in canonical event order,
 trying interactions in the fixed branch order.  After each assignment,
@@ -26,6 +22,12 @@ an exhaustive failure the kernel hands back the union of conflict arcs as a
 refutation core: any system that keeps all those arcs (and the atom) refutes
 the same atom, which is what the modification search uses to reject
 candidate removals wholesale.
+
+The search is a loop over an explicit stack, not recursion, so its depth is
+bounded by memory rather than by Python's recursion limit.  The stack holds
+one slot per open event level: the next branch to try, the conflict levels
+and arcs gathered from the level's failed branches so far, and the trail
+mark to undo the level's assignment to.
 
 Conflict returns use -1 for "no conflict"; any value >= 0 is a bitmask of
 the decision levels the dead end depended on (0 = none of them).
@@ -211,34 +213,58 @@ def solve(p: Problem, kind: int, goal_a: int, goal_b: int,
                     return cm
         return propagate()
 
-    def dfs(e):
+    n_events = p.n_events
+    tags = p.branch_tags
+    n_tags = len(tags)
+    # the search stack, one slot per event level (see the module docstring)
+    branch = [0] * n_events
+    acc_lv = [0] * n_events
+    acc_ar = [0] * n_events
+    marks = [0] * n_events
+
+    def search():
+        """Assign every event signature in order; OK or a conflict mask."""
         nonlocal conflict_arcs
-        if e == p.n_events:
+        if n_events == 0:
             return OK
-        lv = ev_lv[e]
-        acc_lv = 0
-        acc_ar = 0
-        for t in p.branch_tags:
-            mark = len(trail)
-            cm = assign_sig(e, t)
-            if cm < 0:
-                cm = dfs(e + 1)
+        e = 0
+        branch[0] = acc_lv[0] = acc_ar[0] = 0
+        while True:
+            i = branch[e]
+            if i < n_tags:
+                branch[e] = i + 1
+                marks[e] = len(trail)
+                cm = assign_sig(e, tags[i])
                 if cm < 0:
-                    return OK
-            ar = conflict_arcs
-            pending.clear()
-            sig[e] = -1
-            while len(trail) > mark:
-                sup[trail.pop()] = -1
-            if not (cm & lv):
+                    e += 1
+                    if e == n_events:
+                        return OK
+                    branch[e] = acc_lv[e] = acc_ar[e] = 0
+                    continue
+            else:
+                # every branch at e failed: the union of their conflicts,
+                # minus e itself, is the failure of the branch below
+                conflict_arcs = acc_ar[e]
+                cm = acc_lv[e] & ~ev_lv[e]
+                if e == 0:
+                    return cm
+                e -= 1
+            # the current branch at level e failed with conflict cm
+            while True:
+                pending.clear()
+                sig[e] = -1
+                mark = marks[e]
+                while len(trail) > mark:
+                    sup[trail.pop()] = -1
+                if cm & ev_lv[e]:
+                    acc_lv[e] |= cm
+                    acc_ar[e] |= conflict_arcs
+                    break
                 # the failure never looked at this decision: siblings are
-                # doomed for the same reason, hand the conflict upward
-                conflict_arcs = ar
-                return cm
-            acc_lv |= cm
-            acc_ar |= ar
-        conflict_arcs = acc_ar
-        return acc_lv & ~lv
+                # doomed for the same reason, hand the conflict downward
+                if e == 0:
+                    return cm
+                e -= 1
 
     core = 0
     try:
@@ -248,7 +274,7 @@ def solve(p: Problem, kind: int, goal_a: int, goal_b: int,
             if cm < 0:
                 cm = propagate()
             if cm < 0:
-                cm = dfs(0)
+                cm = search()
             if cm < 0:
                 assert all(v >= 0 for v in sup)
                 touched = bytearray(len(arc_src)) if collect_touched else None

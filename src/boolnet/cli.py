@@ -19,9 +19,10 @@ from .gadgets import (
     parse_graph,
 )
 from .interactions import BooleanType
-from .modify import apply_plan, decide, serialize_plan
+from .modify import apply_plan, decide, resolve_node_limit, serialize_plan
 from .nets import net_to_dot, parse_net, reachability_graph, serialize_net
 from .regions import (
+    NodeBudget,
     SeparationAtom,
     Witness,
     decide_property,
@@ -62,7 +63,7 @@ def _type(arg: str) -> BooleanType:
 def _cmd_check(args) -> int:
     ts = parse_ts(_read(args.ts))
     tau = _type(args.type)
-    result = decide_property(ts, tau, args.prop)
+    result = decide_property(ts, tau, args.prop, NodeBudget(resolve_node_limit()))
     if isinstance(result, Witness):
         _emit(serialize_regions(result), args.out)
         return EXIT_YES
@@ -73,7 +74,7 @@ def _cmd_check(args) -> int:
 def _cmd_synth(args) -> int:
     ts = parse_ts(_read(args.ts))
     tau = _type(args.type)
-    result = synthesize(ts, tau, args.mode)
+    result = synthesize(ts, tau, args.mode, NodeBudget(resolve_node_limit()))
     if isinstance(result, SeparationAtom):
         _emit(f"no: atom {result} has no solving region", args.out)
         return EXIT_NO

@@ -402,7 +402,9 @@ def decide_fast_path(
 # -- exact search ------------------------------------------------------------------
 
 
-def _resolve_node_limit(node_limit) -> int | None:
+def resolve_node_limit(node_limit: int | None = None) -> int | None:
+    """The node cap a decision runs under: node_limit, else the
+    BOOLNET_NODE_LIMIT env var, else DEFAULT_NODE_LIMIT; None when 0 (unlimited)."""
     if node_limit is None:
         env = os.environ.get("BOOLNET_NODE_LIMIT", "")
         if env:
@@ -435,7 +437,7 @@ def decide(
         raise ValueError(f"unknown mode {mode!r}")
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
-    budget = NodeBudget(_resolve_node_limit(node_limit))
+    budget = NodeBudget(resolve_node_limit(node_limit))
     if kind == "split" and kappa < len(ts.events):
         return None
     fast = decide_fast_path(ts, tau, kind, mode, budget)

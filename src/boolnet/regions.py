@@ -8,30 +8,13 @@ form a witness, which is what synthesis consumes.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass, field
 
+from . import _solver_py as _kernel
 from .errors import DomainMismatch, ParseError, SearchBudgetExceeded
 from .interactions import INTERACTIONS, BooleanType, apply_interaction, check_tag
 from .ts import TransitionSystem
-
-# -- kernel selection -------------------------------------------------------------
-
-_choice = os.environ.get("BOOLNET_KERNEL", "auto")
-if _choice == "py":
-    from . import _solver_py as _kernel
-elif _choice == "c":
-    from . import _solver_cy as _kernel  # hard import error if not built
-elif _choice in ("", "auto"):
-    try:
-        from . import _solver_cy as _kernel
-    except ImportError:
-        from . import _solver_py as _kernel
-else:
-    raise RuntimeError(
-        f"BOOLNET_KERNEL={_choice!r} is not one of 'py', 'c', 'auto'"
-    )
 
 KERNEL = _kernel.KERNEL_NAME
 

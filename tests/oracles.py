@@ -56,6 +56,18 @@ def random_ts(rng, max_states=6, max_events=3):
         return bn.TransitionSystem.build(initial="s0", arcs=arcs)
 
 
+def flip_flop_ts(n_events):
+    """Two states where every one of n_events events leads s0→s1 and s1→s0.
+
+    Its one state pair needs every event's signature in a single region, so
+    the search opens n_events levels at once.
+    """
+    arcs = []
+    for i in range(n_events):
+        arcs += [("s0", f"e{i}", "s1"), ("s1", f"e{i}", "s0")]
+    return bn.TransitionSystem.build(initial="s0", arcs=arcs)
+
+
 def random_abab_ts(rng, max_states=12):
     """Random system containing the path s0 -a-> s1 -b-> s2 -a-> s3 -b-> s4.
 

@@ -5,6 +5,8 @@ import pytest
 import boolnet as bn
 from boolnet.cli import run
 
+import oracles
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -100,6 +102,22 @@ def test_modify_budget_exit(files, monkeypatch):
         ["modify", "--kind", "split", "--mode", "realize", "--kappa", str(kappa), "--type", "nop,inp,swap", str(gfile)]
     )
     assert code == 3
+
+
+def test_check_and_synth_budget_exit(files, monkeypatch):
+    monkeypatch.setenv("BOOLNET_NODE_LIMIT", "1")
+    chain = files["dir"] / "chain.ts"
+    chain.write_text("initial s0\narc s0 a s1\narc s1 b s2\narc s2 c s3\n", encoding="utf-8")
+    assert run(["check", "--prop", "both", "--type", "nop,inp,swap", str(chain)]) == 3
+    assert run(["synth", "--mode", "realize", "--type", "nop,inp,swap", str(chain)]) == 3
+
+
+def test_deep_input_check_and_synth(files, capsys):
+    deep = files["dir"] / "deep.ts"
+    deep.write_text(bn.serialize_ts(oracles.flip_flop_ts(1200)), encoding="utf-8")
+    assert run(["check", "--prop", "both", "--type", "nop,inp,swap", str(deep)]) == 0
+    assert run(["synth", "--mode", "realize", "--type", "nop,inp,swap", str(deep)]) == 0
+    assert "trans e1199" in capsys.readouterr().out
 
 
 def test_gadget_and_vc(files, capsys):
