@@ -12,14 +12,21 @@ subsets in canonical order per cost level.  Both searches stay exact; all
 pruning below is refutation-based (forced-unsolvable-atom patterns for
 splits, recorded refutation certificates for removals) and never skips a
 potentially satisfiable candidate.
+
+Removal items are data: each removable edge, event or state is its arc mask
+plus the bit of the state or event it takes with it, so the three removal
+kinds differ only in their item list.  apply_plan and the removal search
+share one validity screen over those masks, and removal candidates are
+built straight from the surviving index arcs, without a round trip through
+names.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import InvalidPlan, ParseError, SearchBudgetExceeded, UnknownId
+from .errors import InvalidPlan, ParseError, UnknownId
 from .interactions import BooleanType
 from .regions import (
     CompiledProblem,
@@ -131,82 +138,111 @@ def _apply_split(ts: TransitionSystem, plan: ModificationPlan) -> TransitionSyst
         groups_used[e] = top + 1
         for pos, g in enumerate(groups):
             grp[occ[pos]] = g
+    return _relabel(ts, grp, groups_used, ts.name)[0]
+
+
+def _relabel(ts: TransitionSystem, grp: list[int], groups_used: dict[int, int], name):
+    """The system with arc a relabelled to group grp[a] of its event, and the
+    (event index, group) -> label map it used."""
     labels = _split_labels(ts, groups_used)
-    arcs = []
-    for a, (src, e, dst) in enumerate(ts.arcs):
-        arcs.append((ts.states[src], labels[(e, grp[a])], ts.states[dst]))
-    return TransitionSystem.build(initial=ts.initial_state, arcs=arcs, name=ts.name)
+    arcs = [
+        (ts.states[src], labels[(e, grp[a])], ts.states[dst])
+        for a, (src, e, dst) in enumerate(ts.arcs)
+    ]
+    return TransitionSystem.build(initial=ts.initial_state, arcs=arcs, name=name), labels
+
+
+def _removal_items(ts: TransitionSystem, kind: str) -> list[tuple]:
+    """Every element a plan of this removal kind may delete, in canonical
+    order, as (name, arc mask, state bit, event bit): the arcs it takes out,
+    and the state or event it deletes outright (bit 0 for none).  The
+    initial state is never an item."""
+    if kind == "edge":
+        return [(ts.arc_names(a), 1 << a, 0, 0) for a in range(len(ts.arcs))]
+    if kind == "event":
+        return [(ts.events[e], _mask_of(occ), 0, 1 << e) for e, occ in enumerate(ts.event_arcs)]
+    return [
+        (ts.states[s], _mask_of(ts.out_arcs[s] + ts.in_arcs[s]), 1 << s, 0)
+        for s in range(len(ts.states))
+        if s != ts.initial
+    ]
 
 
 def _apply_removal(ts: TransitionSystem, plan: ModificationPlan) -> TransitionSystem:
-    removed_arcs = set()
-    kept_states = list(range(len(ts.states)))
-    kept_events = list(range(len(ts.events)))
-    if plan.kind == "edge":
-        seen = set()
-        for (src, ev, dst) in plan.edges:
-            si = ts.state_index.get(src)
-            ei = ts.event_index.get(ev)
-            if si is None or ei is None or ts.delta.get((si, ei)) != ts.state_index.get(dst):
-                raise UnknownId(f"{src} -{ev}-> {dst}", "removed edge")
-            a = ts.arc_at[(si, ei)]
-            if a in seen:
-                raise ParseError(f"edge {src} -{ev}-> {dst} listed twice")
-            seen.add(a)
-            removed_arcs.add(a)
-    elif plan.kind == "event":
-        evs = set()
-        for ev in plan.events:
-            if ev not in ts.event_index:
-                raise UnknownId(ev, "removed event")
-            e = ts.event_index[ev]
-            if e in evs:
-                raise ParseError(f"event {ev!r} listed twice")
-            evs.add(e)
-            removed_arcs.update(ts.event_arcs[e])
-        kept_events = [e for e in kept_events if e not in evs]
-    else:  # state
-        sts = set()
-        for s in plan.states:
-            if s not in ts.state_index:
-                raise UnknownId(s, "removed state")
-            si = ts.state_index[s]
-            if si == ts.initial:
-                raise InvalidPlan("initial-removed", s)
-            if si in sts:
-                raise ParseError(f"state {s!r} listed twice")
-            sts.add(si)
-            removed_arcs.update(ts.out_arcs[si])
-            removed_arcs.update(ts.in_arcs[si])
-        kept_states = [s for s in kept_states if s not in sts]
+    kind = plan.kind
+    items = _removal_items(ts, kind)
+    index = {item[0]: i for i, item in enumerate(items)}
+    chosen = set()
+    removed_mask = gone_states = gone_events = 0
+    for name in getattr(plan, kind + "s"):
+        shown = "{} -{}-> {}".format(*name) if kind == "edge" else name
+        i = index.get(name)
+        if i is None:
+            if kind == "state" and name == ts.initial_state:
+                raise InvalidPlan("initial-removed", name)
+            raise UnknownId(shown, "removed " + kind)
+        if i in chosen:
+            raise ParseError(f"{kind} {shown if kind == 'edge' else repr(name)} listed twice")
+        chosen.add(i)
+        _, mask, state_bit, event_bit = items[i]
+        removed_mask |= mask
+        gone_states |= state_bit
+        gone_events |= event_bit
+    e = _dead_event([_mask_of(occ) for occ in ts.event_arcs], removed_mask, gone_events)
+    if e >= 0:
+        raise InvalidPlan("useless-event", ts.events[e])
+    s = _unreached_state(ts, removed_mask, gone_states)
+    if s >= 0:
+        raise InvalidPlan("unreachable-state", ts.states[s])
+    return _restrict(ts, removed_mask, gone_states, gone_events, ts.name)[0]
 
-    arcs = [ts.arc_names(a) for a in range(len(ts.arcs)) if a not in removed_arcs]
-    used_events = {ev for (_, ev, _) in arcs}
-    for e in kept_events:
-        if ts.events[e] not in used_events:
-            raise InvalidPlan("useless-event", ts.events[e])
-    # reachability over the survivors
-    kept_set = set(kept_states)
-    adj: dict[str, list[str]] = {}
-    for (src, _, dst) in arcs:
-        adj.setdefault(src, []).append(dst)
-    seen_names = {ts.initial_state}
-    stack = [ts.initial_state]
+
+def _dead_event(event_masks: list[int], removed_mask: int, gone_events: int) -> int:
+    """The lowest kept event with no surviving arc, or -1."""
+    for e, mask in enumerate(event_masks):
+        if not mask & ~removed_mask and not (gone_events >> e) & 1:
+            return e
+    return -1
+
+
+def _unreached_state(ts: TransitionSystem, removed_mask: int, gone_states: int) -> int:
+    """The lowest kept state the surviving arcs do not reach from the
+    initial state, or -1."""
+    seen = 1 << ts.initial
+    stack = [ts.initial]
     while stack:
-        for nxt in adj.get(stack.pop(), ()):
-            if nxt not in seen_names:
-                seen_names.add(nxt)
-                stack.append(nxt)
-    for s in kept_states:
-        if ts.states[s] not in seen_names:
-            raise InvalidPlan("unreachable-state", ts.states[s])
-    return TransitionSystem.build(
-        initial=ts.initial_state,
-        arcs=arcs,
-        states=tuple(ts.states[s] for s in kept_states),
-        events=tuple(ts.events[e] for e in kept_events),
-        name=ts.name,
+        for a in ts.out_arcs[stack.pop()]:
+            if (removed_mask >> a) & 1:
+                continue
+            d = ts.arcs[a][2]
+            if not (seen >> d) & 1:
+                seen |= 1 << d
+                stack.append(d)
+    missing = ((1 << len(ts.states)) - 1) & ~seen & ~gone_states
+    return (missing & -missing).bit_length() - 1
+
+
+def _restrict(ts: TransitionSystem, removed_mask: int, gone_states: int, gone_events: int, name):
+    """The system without the removed arcs and gone states and events, built
+    from its index arcs, and the original index of each surviving arc.
+    Validity is the caller's business: see _dead_event and _unreached_state."""
+    states = [s for s in range(len(ts.states)) if not (gone_states >> s) & 1]
+    events = [e for e in range(len(ts.events)) if not (gone_events >> e) & 1]
+    origin = [a for a in range(len(ts.arcs)) if not (removed_mask >> a) & 1]
+    state_at = {s: i for i, s in enumerate(states)}
+    event_at = {e: i for i, e in enumerate(events)}
+    arcs = []
+    for a in origin:
+        src, e, dst = ts.arcs[a]
+        arcs.append((state_at[src], event_at[e], state_at[dst]))
+    restricted = TransitionSystem(
+        name,
+        tuple(ts.states[s] for s in states),
+        tuple(ts.events[e] for e in events),
+        state_at[ts.initial],
+        tuple(arcs),
     )
+    return restricted, origin
 
 
 # -- plan dump ------------------------------------------------------------------
@@ -333,15 +369,7 @@ def _state_closure(ts: TransitionSystem) -> list[int] | None:
                     break
     if not alive[ts.initial]:
         return None
-    keep = {ts.initial}
-    stack = [ts.initial]
-    while stack:
-        s = stack.pop()
-        for a in ts.out_arcs[s]:
-            d = ts.arcs[a][2]
-            if d not in keep:
-                keep.add(d)
-                stack.append(d)
+    keep = ts.reachable_from(ts.initial)
     return [s for s in range(n) if s in keep]
 
 
@@ -404,13 +432,23 @@ def decide_fast_path(
 
 def resolve_node_limit(node_limit: int | None = None) -> int | None:
     """The node cap a decision runs under: node_limit, else the
-    BOOLNET_NODE_LIMIT env var, else DEFAULT_NODE_LIMIT; None when 0 (unlimited)."""
+    BOOLNET_NODE_LIMIT env var, else DEFAULT_NODE_LIMIT; None when 0 (unlimited).
+
+    A negative node_limit raises ValueError, and an env value that is not a
+    non-negative integer raises ParseError.
+    """
     if node_limit is None:
         env = os.environ.get("BOOLNET_NODE_LIMIT", "")
-        if env:
+        if not env:
+            return DEFAULT_NODE_LIMIT
+        try:
             node_limit = int(env)
-        else:
-            node_limit = DEFAULT_NODE_LIMIT
+        except ValueError:
+            node_limit = -1
+        if node_limit < 0:
+            raise ParseError(f"BOOLNET_NODE_LIMIT must be a non-negative integer, not {env!r}")
+    elif node_limit < 0:
+        raise ValueError("node_limit must be nonnegative")
     return None if node_limit == 0 else node_limit
 
 
@@ -427,7 +465,8 @@ def decide(
 
     kappa bounds the result's label count for splits and the removed-element
     count otherwise.  node_limit caps explored search states (None: the
-    BOOLNET_NODE_LIMIT env var or 10^7; 0: unlimited); crossing it raises
+    BOOLNET_NODE_LIMIT env var or 10^7; 0: unlimited; see
+    resolve_node_limit for bad values); crossing it raises
     SearchBudgetExceeded rather than guessing.  Results are deterministic:
     cost first, then composition/subset enumeration order breaks ties.
     """
@@ -538,7 +577,7 @@ def _search_split(ts, tau, mode, kappa, budget) -> ModificationPlan | None:
     need_essp = prop in ("essp", "both")
     n_events = len(ts.events)
     occ = ts.event_arcs
-    caps = [len(o) for o in occ]
+    tops = [len(o) - 1 for o in occ]  # most extra groups per event
     patterns = _abab_patterns(ts) if tau.tags <= _OBSTRUCTION_SCOPE else []
     checker = _SplitChecker(ts, tau, prop, budget)
 
@@ -595,11 +634,7 @@ def _search_split(ts, tau, mode, kappa, budget) -> ModificationPlan | None:
                 countdown[pi] += 1
 
         def emit() -> ModificationPlan | None:
-            labels = _split_labels(ts, {e: extra[e] + 1 for e in split_events})
-            arcs = []
-            for a, (src, e, dst) in enumerate(ts.arcs):
-                arcs.append((ts.states[src], labels[(e, grp[a])], ts.states[dst]))
-            cand = TransitionSystem.build(initial=ts.initial_state, arcs=arcs)
+            cand, labels = _relabel(ts, grp, {e: extra[e] + 1 for e in split_events}, None)
             witness = checker.check(cand, labels)
             if witness is None:
                 return None
@@ -642,30 +677,43 @@ def _search_split(ts, tau, mode, kappa, budget) -> ModificationPlan | None:
                 grp[a] = 0
         return result
 
-    max_extra = min(kappa - n_events, sum(c - 1 for c in caps))
-
-    def compositions(idx: int, remaining: int) -> ModificationPlan | None:
-        if remaining == 0:
-            for e in range(idx, n_events):
-                extra[e] = 0
+    max_extra = min(kappa - n_events, sum(tops))
+    for total in range(0, max_extra + 1):
+        for xs in _compositions(tops, total):
+            extra[:] = xs
             budget.charge()
-            return run_composition()
-        if idx == n_events:
-            return None
-        hi = min(caps[idx] - 1, remaining)
-        for x in range(hi + 1):
-            extra[idx] = x
-            found = compositions(idx + 1, remaining - x)
+            found = run_composition()
             if found is not None:
                 return found
-        extra[idx] = 0
-        return None
-
-    for total in range(0, max_extra + 1):
-        found = compositions(0, total)
-        if found is not None:
-            return found
     return None
+
+
+def _compositions(tops: list[int], total: int):
+    """Every vector x with 0 <= x[i] <= tops[i] and sum total, in
+    lexicographic order.  Yields one list, updated in place."""
+    x = [0] * len(tops)
+
+    def pile(start: int, amount: int) -> bool:
+        # the least arrangement of amount over x[start:] fills it from the back
+        for i in range(len(tops) - 1, start - 1, -1):
+            x[i] = min(tops[i], amount)
+            amount -= x[i]
+        return amount == 0
+
+    if not pile(0, total):
+        return
+    while True:
+        yield x
+        # the rightmost position that can grow by taking one from its tail
+        tail = 0
+        for i in range(len(tops) - 1, -1, -1):
+            if tail and x[i] < tops[i]:
+                x[i] += 1
+                pile(i + 1, tail - 1)
+                break
+            tail += x[i]
+        else:
+            return
 
 
 # -- removal search -----------------------------------------------------------------
@@ -675,90 +723,20 @@ class _Certificate:
     """A refutation of one atom valid for every candidate that keeps all its
     touched arcs (and the atom itself)."""
 
-    __slots__ = ("kind", "a", "b", "alpha_bit", "mask")
+    __slots__ = ("key", "mask")
 
-    def __init__(self, kind, a, b, alpha_bit, mask):
-        self.kind = kind  # "ssp": state idx pair; "essp": (event idx, state idx)
-        self.a = a
-        self.b = b
-        self.alpha_bit = alpha_bit  # for essp: bit of the (state, event) arc, 0 if absent
+    def __init__(self, key, mask):
+        self.key = key  # see _atom_key
         self.mask = mask
 
 
 def _search_removal(ts, tau, kind, mode, kappa, budget) -> ModificationPlan | None:
     prop = property_for_mode(mode)
-    n_states = len(ts.states)
-    n_events = len(ts.events)
-    n_arcs = len(ts.arcs)
-
-    if kind == "edge":
-        items = list(range(n_arcs))
-        item_masks = [1 << a for a in items]
-    elif kind == "event":
-        items = list(range(n_events))
-        item_masks = [_mask_of(ts.event_arcs[e]) for e in items]
-    else:
-        items = [s for s in range(n_states) if s != ts.initial]
-        item_masks = [
-            _mask_of(set(ts.out_arcs[s]) | set(ts.in_arcs[s])) for s in items
-        ]
-
-    ev_total = [len(ts.event_arcs[e]) for e in range(n_events)]
-    arc_ev = [a[1] for a in ts.arcs]
+    items = _removal_items(ts, kind)
+    n_items = len(items)
+    event_masks = [_mask_of(occ) for occ in ts.event_arcs]
     cert_seen: set[tuple] = set()
     last_fail: tuple | None = None  # portable atom key, see _atom_key
-
-    def atom_intact(cert: _Certificate, removed_mask: int, removed_items) -> bool:
-        if cert.kind == "ssp":
-            if kind == "state" and (cert.a in removed_items or cert.b in removed_items):
-                return False
-            return True
-        if kind == "event" and cert.a in removed_items:
-            return False
-        if kind == "state" and cert.b in removed_items:
-            return False
-        if cert.alpha_bit and not (cert.alpha_bit & removed_mask):
-            return False  # the event still occurs there: not an atom
-        return True
-
-    def candidate_ts(removed_mask, removed_items):
-        arcs = []
-        arc_origin = []
-        for a in range(n_arcs):
-            if not (removed_mask >> a) & 1:
-                arcs.append(ts.arc_names(a))
-                arc_origin.append(a)
-        if kind == "state":
-            states = tuple(ts.states[s] for s in range(n_states) if s not in removed_items)
-        else:
-            states = ts.states
-        if kind == "event":
-            events = tuple(ts.events[e] for e in range(n_events) if e not in removed_items)
-        else:
-            events = ts.events
-        return (
-            TransitionSystem.build(
-                initial=ts.initial_state, arcs=arcs, states=states, events=events
-            ),
-            arc_origin,
-        )
-
-    def make_plan(combo, cost) -> ModificationPlan:
-        if kind == "edge":
-            return ModificationPlan(
-                kind=kind, cost=cost, edges=tuple(ts.arc_names(items[i]) for i in combo)
-            )
-        if kind == "event":
-            return ModificationPlan(
-                kind=kind, cost=cost, events=tuple(ts.events[items[i]] for i in combo)
-            )
-        return ModificationPlan(
-            kind=kind, cost=cost, states=tuple(ts.states[items[i]] for i in combo)
-        )
-
-    limit = budget.limit
-    nodes = budget.used
-    n_items = len(items)
 
     # certificates split two ways: ones whose atom survives every removal of
     # this kind unless explicitly hit ("hard" — together they form a cover
@@ -775,21 +753,15 @@ def _search_removal(ts, tau, kind, mode, kappa, budget) -> ModificationPlan | No
 
     def register_cert(cert: _Certificate):
         nonlocal hard_count, hard_full
-        if cert.alpha_bit:
+        if cert.key[3]:
             soft_list.append(cert)
             return
         bit = 1 << hard_count
         hard_count += 1
         hard_full |= bit
-        for i in range(n_items):
-            if item_masks[i] & cert.mask:
-                hit_bits[i] |= bit
-            elif cert.kind == "ssp":
-                if kind == "state" and items[i] in (cert.a, cert.b):
-                    hit_bits[i] |= bit
-            elif kind == "event" and items[i] == cert.a:
-                hit_bits[i] |= bit
-            elif kind == "state" and items[i] == cert.b:
+        for i, (_, mask, state_bit, event_bit) in enumerate(items):
+            # the item breaks the core, or takes the atom's state or event
+            if mask & cert.mask or not _atom_alive(cert.key, mask, state_bit, event_bit):
                 hit_bits[i] |= bit
         acc = 0
         for i in range(n_items - 1, -1, -1):
@@ -803,43 +775,29 @@ def _search_removal(ts, tau, kind, mode, kappa, budget) -> ModificationPlan | No
                 if hit:
                     mask |= 1 << arc_origin[i]
         key = _atom_key(ts, atom)
-        alpha_bit = 0
-        if key[0] == "essp":
-            arc = ts.arc_at.get((key[2], key[1]))
-            if arc is not None:
-                alpha_bit = 1 << arc
-        dedup = key + (alpha_bit, mask)
-        if dedup not in cert_seen:
-            cert_seen.add(dedup)
-            register_cert(_Certificate(key[0], key[1], key[2], alpha_bit, mask))
+        if (key, mask) not in cert_seen:
+            cert_seen.add((key, mask))
+            register_cert(_Certificate(key, mask))
         return key
 
     def leaf_ok(combo):
         """Death/soft-certificate/reachability screening for a full combo."""
-        removed_items = {items[i] for i in combo}
-        removed_mask = 0
+        removed_mask = gone_states = gone_events = 0
         for i in combo:
-            removed_mask |= item_masks[i]
-        if kind != "event":
-            # every surviving event must still occur somewhere
-            decs: dict[int, int] = {}
-            m = removed_mask
-            while m:
-                low = m & -m
-                a = low.bit_length() - 1
-                m ^= low
-                e = arc_ev[a]
-                decs[e] = decs.get(e, 0) + 1
-                if decs[e] == ev_total[e]:
-                    return None
+            _, mask, state_bit, event_bit = items[i]
+            removed_mask |= mask
+            gone_states |= state_bit
+            gone_events |= event_bit
+        if _dead_event(event_masks, removed_mask, gone_events) >= 0:
+            return None
         for cert in soft_list:
             if cert.mask & removed_mask:
                 continue
-            if atom_intact(cert, removed_mask, removed_items):
+            if _atom_alive(cert.key, removed_mask, gone_states, gone_events):
                 return None
-        if not _reachable_ok(ts, removed_mask, removed_items, kind):
+        if _unreached_state(ts, removed_mask, gone_states) >= 0:
             return None
-        return (removed_mask, removed_items)
+        return (removed_mask, gone_states, gone_events)
 
     def scan(slots, resume):
         """Lexicographically first combo after `resume` passing every filter.
@@ -850,22 +808,18 @@ def _search_removal(ts, tau, kind, mode, kappa, budget) -> ModificationPlan | No
         """
 
         def rec(start, slots, cover, prefix, bound):
-            nonlocal nodes
             if slots == 0:
                 if bound is not None:
                     return None  # this exact combo is `resume`: skip it
-                extra = leaf_ok(prefix)
-                if extra is None:
+                removal = leaf_ok(prefix)
+                if removal is None:
                     return None
-                return (prefix, extra)
+                return (prefix, removal)
             i0 = start
             if bound is not None and bound[0] > i0:
                 i0 = bound[0]
             for i in range(i0, n_items - slots + 1):
-                nodes += 1
-                if limit is not None and nodes > limit:
-                    budget.used = nodes
-                    raise SearchBudgetExceeded(nodes)
+                budget.charge()
                 nb = None
                 if bound is not None and i == bound[0]:
                     nb = bound[1:]
@@ -880,41 +834,32 @@ def _search_removal(ts, tau, kind, mode, kappa, budget) -> ModificationPlan | No
 
         return rec(0, slots, 0, (), resume)
 
-    try:
-        for cost in range(0, min(kappa, n_items) + 1):
-            resume = None
-            while True:
-                found = scan(cost, resume)
-                if found is None:
-                    break
-                combo, (removed_mask, removed_items) = found
-                budget.used = nodes
-                cand, arc_origin = candidate_ts(removed_mask, removed_items)
-                problem = CompiledProblem(cand, tau)
+    for cost in range(0, min(kappa, n_items) + 1):
+        resume = None
+        while True:
+            found = scan(cost, resume)
+            if found is None:
+                break
+            combo, removal = found
+            resume = combo
+            cand, arc_origin = _restrict(ts, *removal, None)
+            problem = CompiledProblem(cand, tau)
 
-                if last_fail is not None and _atom_alive(
-                    ts, last_fail, removed_mask, removed_items, kind
-                ):
-                    atom = _atom_from_key(ts, last_fail)
-                    region, touched = problem.solve(atom, budget, collect_touched=True)
-                    if region is None:
-                        record_certificate(arc_origin, atom, touched)
-                        nodes = budget.used
-                        resume = combo
-                        continue
+            if last_fail is not None and _atom_alive(last_fail, *removal):
+                atom = _atom_from_key(ts, last_fail)
+                region, touched = problem.solve(atom, budget, collect_touched=True)
+                if region is None:
+                    record_certificate(arc_origin, atom, touched)
+                    continue
 
-                result = decide_property(
-                    cand, tau, prop, budget, problem=problem, canonical_failure=False
-                )
-                nodes = budget.used
-                if isinstance(result, Witness):
-                    return make_plan(combo, cost)
-                _, touched = problem.solve(result, budget, collect_touched=True)
-                last_fail = record_certificate(arc_origin, result, touched)
-                nodes = budget.used
-                resume = combo
-    finally:
-        budget.used = max(budget.used, nodes)
+            result = decide_property(
+                cand, tau, prop, budget, problem=problem, canonical_failure=False
+            )
+            if isinstance(result, Witness):
+                names = tuple(items[i][0] for i in combo)
+                return ModificationPlan(kind=kind, cost=cost, **{kind + "s": names})
+            _, touched = problem.solve(result, budget, collect_touched=True)
+            last_fail = record_certificate(arc_origin, result, touched)
     return None
 
 
@@ -926,9 +871,15 @@ def _mask_of(arcs) -> int:
 
 
 def _atom_key(ts: TransitionSystem, atom: SeparationAtom) -> tuple:
+    """(kind, a, b, alpha_bit) in indices: a state pair for ssp, an (event,
+    state) pair for essp.  alpha_bit is the bit of the event's arc at that
+    state, which a candidate must remove for the atom to exist; it is 0 when
+    there is no such arc, and always for ssp."""
     if atom.kind == "ssp":
-        return ("ssp", ts.state_index[atom.first], ts.state_index[atom.second])
-    return ("essp", ts.event_index[atom.first], ts.state_index[atom.second])
+        return ("ssp", ts.state_index[atom.first], ts.state_index[atom.second], 0)
+    e, s = ts.event_index[atom.first], ts.state_index[atom.second]
+    arc = ts.arc_at.get((s, e))
+    return ("essp", e, s, 0 if arc is None else 1 << arc)
 
 
 def _atom_from_key(ts: TransitionSystem, key: tuple) -> SeparationAtom:
@@ -937,36 +888,12 @@ def _atom_from_key(ts: TransitionSystem, key: tuple) -> SeparationAtom:
     return SeparationAtom("essp", ts.events[key[1]], ts.states[key[2]])
 
 
-def _atom_alive(ts, key, removed_mask, removed_items, kind) -> bool:
-    if key[0] == "ssp":
-        if kind == "state" and (key[1] in removed_items or key[2] in removed_items):
-            return False
-        return True
-    e, s = key[1], key[2]
-    if kind == "event" and e in removed_items:
+def _atom_alive(key, removed_mask: int, gone_states: int, gone_events: int) -> bool:
+    """Whether the atom is still an atom of the candidate: its states and
+    event kept, and for essp the event's arc at the state removed."""
+    kind, a, b, alpha_bit = key
+    if kind == "ssp":
+        return not ((gone_states >> a) & 1 or (gone_states >> b) & 1)
+    if (gone_events >> a) & 1 or (gone_states >> b) & 1:
         return False
-    if kind == "state" and s in removed_items:
-        return False
-    arc = ts.arc_at.get((s, e))
-    if arc is not None and not ((removed_mask >> arc) & 1):
-        return False
-    return True
-
-
-def _reachable_ok(ts, removed_mask, removed_items, kind) -> bool:
-    n_states = len(ts.states)
-    expect = n_states - (len(removed_items) if kind == "state" else 0)
-    seen = 1 << ts.initial
-    count = 1
-    stack = [ts.initial]
-    while stack:
-        s = stack.pop()
-        for a in ts.out_arcs[s]:
-            if (removed_mask >> a) & 1:
-                continue
-            d = ts.arcs[a][2]
-            if not (seen >> d) & 1:
-                seen |= 1 << d
-                count += 1
-                stack.append(d)
-    return count == expect
+    return not alpha_bit or bool(alpha_bit & removed_mask)

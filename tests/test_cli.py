@@ -112,6 +112,23 @@ def test_check_and_synth_budget_exit(files, monkeypatch):
     assert run(["synth", "--mode", "realize", "--type", "nop,inp,swap", str(chain)]) == 3
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", "-5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--prop", "both", "--type", "nop,inp,swap"],
+        ["synth", "--mode", "realize", "--type", "nop,inp,swap"],
+        ["modify", "--kind", "split", "--mode", "realize", "--kappa", "2", "--type", "nop,inp,swap"],
+    ],
+    ids=["check", "synth", "modify"],
+)
+def test_bad_node_limit_env_is_a_usage_error(files, monkeypatch, capsys, argv, value):
+    monkeypatch.setenv("BOOLNET_NODE_LIMIT", value)
+    assert run(argv + [str(files["stuck"])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "BOOLNET_NODE_LIMIT" in err
+
+
 def test_deep_input_check_and_synth(files, capsys):
     deep = files["dir"] / "deep.ts"
     deep.write_text(bn.serialize_ts(oracles.flip_flop_ts(1200)), encoding="utf-8")

@@ -1,6 +1,7 @@
 """Budgeted modification plans and the exact decision solvers."""
 
 import random
+import sys
 
 import pytest
 
@@ -288,3 +289,93 @@ def test_decide_node_limit_env(monkeypatch):
         bn.decide(gts, TAU_D, "split", "realize", kappa)
     # an explicit argument wins over the environment
     assert bn.decide(gts, TAU_D, "split", "realize", kappa, node_limit=0) is not None
+
+
+def test_decide_rejects_negative_node_limit():
+    with pytest.raises(ValueError):
+        bn.decide(two_loops(), TAU_D, "edge", "realize", 1, node_limit=-1)
+
+
+def test_split_search_depth_does_not_grow_with_events():
+    # t0 -a-> t1 -a-> t2, plus 200 events that each go both ways between t2
+    # and t3: the budget lets exactly one extra label in, and splitting a
+    # stays short of realizing the system
+    arcs = [("t0", "a", "t1"), ("t1", "a", "t2")]
+    for i in range(200):
+        arcs += [("t2", f"e{i}", "t3"), ("t3", f"e{i}", "t2")]
+    ts = bn.TransitionSystem.build(initial="t0", arcs=arcs)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        plan = bn.decide(ts, TAU_D, "split", "realize", len(ts.events) + 1)
+    finally:
+        sys.setrecursionlimit(old)
+    assert plan is None
+
+
+def _reference_removal(ts, kind, items):
+    """apply_plan's result for removing `items`, computed over names: the
+    InvalidPlan it must raise as (reason, element), or the system built
+    from the surviving named arcs."""
+    gone_states = set(items) if kind == "state" else set()
+    gone_events = set(items) if kind == "event" else set()
+    if ts.initial_state in gone_states:
+        return ("initial-removed", ts.initial_state)
+    arcs = [
+        ts.arc_names(a)
+        for a in range(len(ts.arcs))
+        if not (kind == "edge" and ts.arc_names(a) in items)
+        and ts.arc_names(a)[1] not in gone_events
+        and not {ts.arc_names(a)[0], ts.arc_names(a)[2]} & gone_states
+    ]
+    states = [s for s in ts.states if s not in gone_states]
+    events = [e for e in ts.events if e not in gone_events]
+    for e in events:
+        if all(ev != e for (_, ev, _) in arcs):
+            return ("useless-event", e)
+    reached = {ts.initial_state}
+    grew = True
+    while grew:
+        grew = False
+        for (src, _, dst) in arcs:
+            if src in reached and dst not in reached:
+                reached.add(dst)
+                grew = True
+    for s in states:
+        if s not in reached:
+            return ("unreachable-state", s)
+    return bn.TransitionSystem.build(
+        initial=ts.initial_state, arcs=arcs, states=states, events=events, name=ts.name
+    )
+
+
+def test_apply_removal_matches_name_level_reference():
+    rng = random.Random(5150)
+    seen = set()
+    for _ in range(150):
+        ts = oracles.random_ts(rng, max_states=6, max_events=3)
+        pools = {
+            "edge": [ts.arc_names(a) for a in range(len(ts.arcs))],
+            "event": list(ts.events),
+            "state": list(ts.states),
+        }
+        for kind, pool in pools.items():
+            for _ in range(4):
+                items = tuple(x for x in pool if rng.random() < 0.3)
+                plan = bn.ModificationPlan(
+                    kind=kind, cost=len(items), **{kind + "s": items}
+                )
+                want = _reference_removal(ts, kind, items)
+                if isinstance(want, tuple):
+                    with pytest.raises(bn.InvalidPlan) as info:
+                        bn.apply_plan(ts, plan)
+                    assert info.value.reason == want[0]
+                    assert str(info.value) == str(bn.InvalidPlan(*want))
+                    seen.add(want[0])
+                    continue
+                got = bn.apply_plan(ts, plan)
+                assert (got.name, got.states, got.events, got.initial, got.arcs) == (
+                    want.name, want.states, want.events, want.initial, want.arcs
+                )
+                seen.add("valid")
+    assert seen == {"valid", "initial-removed", "useless-event", "unreachable-state"}
