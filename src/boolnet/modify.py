@@ -349,30 +349,6 @@ def _every_event_everywhere(ts: TransitionSystem) -> bool:
     return len(ts.delta) == len(ts.states) * len(ts.events)
 
 
-def _state_closure(ts: TransitionSystem) -> list[int] | None:
-    """Largest state set where every event stays defined and inside, then
-    restricted to the part reachable from the initial state.  None when the
-    initial state falls outside."""
-    n = len(ts.states)
-    alive = [True] * n
-    changed = True
-    while changed:
-        changed = False
-        for s in range(n):
-            if not alive[s]:
-                continue
-            for e in range(len(ts.events)):
-                d = ts.delta.get((s, e))
-                if d is None or not alive[d]:
-                    alive[s] = False
-                    changed = True
-                    break
-    if not alive[ts.initial]:
-        return None
-    keep = ts.reachable_from(ts.initial)
-    return [s for s in range(n) if s in keep]
-
-
 def decide_fast_path(
     ts: TransitionSystem,
     tau: BooleanType,
@@ -413,18 +389,18 @@ def decide_fast_path(
     # state removal
     if tau.tags != {"nop", "swap"}:
         return fall
-    keep = _state_closure(ts)
-    if keep is None:
+    # a kept state set must give every kept state every event inside it; the
+    # largest such set contains the initial state only when every event
+    # occurs everywhere (all states are reachable, so a missing occurrence
+    # anywhere poisons the initial state), and then it is every state
+    if not _every_event_everywhere(ts):
         return FastPathResult("no", reason="initial state cannot keep all events")
-    removed = tuple(ts.states[s] for s in range(len(ts.states)) if s not in set(keep))
-    plan = ModificationPlan(kind="state", cost=len(removed), states=removed)
     if mode == "realize":
-        sub = apply_plan(ts, plan) if removed else ts
-        ssp = decide_property(sub, tau, "ssp", budget)
+        ssp = decide_property(ts, tau, "ssp", budget)
         if isinstance(ssp, SeparationAtom):
-            # the kept set is forced exactly, so an unsolvable pair is final
+            # every state must be kept, so an unsolvable pair is final
             return FastPathResult("no", reason=f"state pair {ssp} not separable")
-    return FastPathResult("yes", plan=plan)
+    return FastPathResult("yes", plan=ModificationPlan(kind="state", cost=0))
 
 
 # -- exact search ------------------------------------------------------------------

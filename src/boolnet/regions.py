@@ -4,12 +4,20 @@ A region assigns every state a bit (support) and every event an interaction
 (signature) such that each arc maps to a defined step of the type.  Regions
 solve separation atoms; collections of regions covering all atoms of a kind
 form a witness, which is what synthesis consumes.
+
+Inside `decide_property` atoms are index pairs and the atoms still to solve
+are bitmask rows over states: one per state i for the states j > i it must
+still be told apart from (SSP), one per event for the states where it is
+missing and still unsolved (ESSP).  A found region retires atoms with one
+mask operation per row, given its support as a bitmask.  `Region` and
+`SeparationAtom` objects are built only at the boundary: the witness's
+regions, the one failure atom, and the coverage map when it is first read.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import _solver_py as _kernel
 from .errors import DomainMismatch, ParseError, SearchBudgetExceeded
@@ -19,6 +27,14 @@ from .ts import TransitionSystem
 KERNEL = _kernel.KERNEL_NAME
 
 _TAG_ID = {t: i for i, t in enumerate(INTERACTIONS)}
+
+# For an ESSP row of an event with this tag id, the support bit of the states
+# the region leaves unsolved: 1 when the tag is undefined at 0 (it solves the
+# states at 0), 0 when undefined at 1, -1 for a total tag (solves none).
+_ESSP_KEEP = tuple(
+    1 if apply_interaction(t, 0) is None else 0 if apply_interaction(t, 1) is None else -1
+    for t in INTERACTIONS
+)
 
 
 class NodeBudget:
@@ -86,10 +102,50 @@ class SeparationAtom:
         return f"({self.first},{self.second})"
 
 
-@dataclass
 class Witness:
-    regions: list[Region] = field(default_factory=list)
-    coverage: dict[SeparationAtom, int] = field(default_factory=dict)
+    """Regions covering every atom of a property.
+
+    coverage maps each atom of the property to the index of the first region
+    that solves it, in the order the atoms were retired.  A witness from
+    `decide_property` builds that map on first read, from the atoms each
+    region retired.
+    """
+
+    __slots__ = ("regions", "_coverage", "_retired")
+
+    def __init__(
+        self,
+        regions: list[Region] | None = None,
+        coverage: dict[SeparationAtom, int] | None = None,
+    ):
+        self.regions = [] if regions is None else regions
+        self._coverage = {} if coverage is None else coverage
+        self._retired = None  # (ts, rows, per-region retired masks) until read
+
+    @property
+    def coverage(self) -> dict[SeparationAtom, int]:
+        if self._retired is not None:
+            ts, rows, retired = self._retired
+            self._retired = None
+            for idx, masks in enumerate(retired):
+                for r, mask in masks:
+                    kind, a = rows[r]
+                    for b in _bits(mask):
+                        self._coverage[_atom(ts, kind, a, b)] = idx
+        return self._coverage
+
+    @coverage.setter
+    def coverage(self, value: dict[SeparationAtom, int]) -> None:
+        self._retired = None
+        self._coverage = value
+
+    def __eq__(self, other):
+        if not isinstance(other, Witness):
+            return NotImplemented
+        return self.regions == other.regions and self.coverage == other.coverage
+
+    def __repr__(self):
+        return f"Witness(regions={self.regions!r}, coverage={self.coverage!r})"
 
 
 PROPERTIES = ("ssp", "essp", "both")
@@ -222,13 +278,20 @@ class CompiledProblem:
             raise DomainMismatch(f"{atom.first!r} occurs at {atom.second!r}: not an atom")
         return (_kernel.ESSP, e, s)
 
-    def solve(
+    def solve_index(
         self,
-        atom: SeparationAtom,
+        kind: int,
+        a: int,
+        b: int,
         budget: NodeBudget | None = None,
         collect_touched: bool = False,
-    ) -> tuple[Region | None, bytearray | None]:
-        kind, a, b = self.atom_args(atom)
+    ) -> tuple[list[int] | None, list[int] | None, bytearray | None]:
+        """Run the kernel on the atom (kind, a, b) in kernel indices.
+
+        Returns (support bits, signature tag ids, touched), with None for
+        both when the atom is refuted; charges the budget and raises
+        SearchBudgetExceeded when it runs out.
+        """
         limit = -1 if budget is None else budget.remaining()
         status, sup, sig, nodes, touched = _kernel.solve(
             self.handle, kind, a, b, limit, collect_touched
@@ -238,13 +301,39 @@ class CompiledProblem:
         if status == _kernel.BUDGET:
             # charge() above raised unless the limit maths drifted; be strict
             raise SearchBudgetExceeded(budget.used if budget else nodes)
-        if status == _kernel.NONE:
-            return (None, touched)
-        region = Region(
-            support={self.ts.states[i]: v for i, v in enumerate(sup)},
-            signature={self.ts.events[i]: INTERACTIONS[t] for i, t in enumerate(sig)},
+        return (sup, sig, touched)
+
+    def _region(self, sup: list[int], sig: list[int]) -> Region:
+        """The named region of kernel support bits and signature tag ids."""
+        return Region(
+            support=dict(zip(self.ts.states, sup)),
+            signature={e: INTERACTIONS[t] for e, t in zip(self.ts.events, sig)},
         )
-        return (region, touched)
+
+    def solve(
+        self,
+        atom: SeparationAtom,
+        budget: NodeBudget | None = None,
+        collect_touched: bool = False,
+    ) -> tuple[Region | None, bytearray | None]:
+        """`solve_index` for a named atom: (its region or None, touched)."""
+        sup, sig, touched = self.solve_index(*self.atom_args(atom), budget, collect_touched)
+        return (None if sup is None else self._region(sup, sig), touched)
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _atom(ts: TransitionSystem, kind: int, a: int, b: int) -> SeparationAtom:
+    """The named atom of kernel atom (kind, a, b)."""
+    if kind == _kernel.SSP:
+        return SeparationAtom("ssp", ts.states[a], ts.states[b])
+    return SeparationAtom("essp", ts.events[a], ts.states[b])
 
 
 def solve_atom(
@@ -273,41 +362,74 @@ def decide_property(
     (their regions tend to solve most state pairs as a side effect, keeping
     witnesses small); on failure the reported atom is still the canonically
     first unsolvable one unless canonical_failure is disabled for speed.
+
+    The work is done in index space (see the module docstring): the next
+    atom is the lowest pending bit of the first nonempty row, the kernel
+    gets its indices, and names appear only in the returned regions, the
+    failure atom and the coverage map.
     """
     if prop not in PROPERTIES:
         raise ValueError(f"unknown property {prop!r}")
-    every = atoms(ts)
-    ssp_atoms = [a for a in every if a.kind == "ssp"]
-    essp_atoms = [a for a in every if a.kind == "essp"]
-    if prop == "ssp":
-        todo = ssp_atoms
-    elif prop == "essp":
-        todo = essp_atoms
-    else:
-        todo = essp_atoms + ssp_atoms
     if problem is None:
         problem = CompiledProblem(ts, tau)
-    witness = Witness()
-    for atom in todo:
-        if atom in witness.coverage:
-            continue
-        region, _ = problem.solve(atom, budget)
-        if region is None:
-            if prop == "both" and canonical_failure and atom.kind == "essp":
-                # ssp atoms precede essp atoms canonically; report the first
-                # unsolvable one of them if any exists
-                for sa in ssp_atoms:
-                    if sa in witness.coverage:
-                        continue
-                    sr, _ = problem.solve(sa, budget)
-                    if sr is None:
-                        return sa
-            return atom
-        idx = len(witness.regions)
-        witness.regions.append(region)
-        for other in todo:
-            if other not in witness.coverage and region.solves(other):
-                witness.coverage[other] = idx
+    n = len(ts.states)
+    full = (1 << n) - 1
+    # rows in processing order: (kernel kind, event or state index), and the
+    # bitmask of states still pending in each
+    rows: list[tuple[int, int]] = []
+    pending: list[int] = []
+    if prop != "ssp":
+        defined = [0] * len(ts.events)
+        for s, e in ts.delta:
+            defined[e] |= 1 << s
+        for e, dmask in enumerate(defined):
+            rows.append((_kernel.ESSP, e))
+            pending.append(full ^ dmask)
+    first_ssp = len(rows)
+    if prop != "essp":
+        for i in range(n):
+            rows.append((_kernel.SSP, i))
+            pending.append(full >> (i + 1) << (i + 1))
+    n_rows = len(rows)
+    regions: list[Region] = []
+    retired: list[list[tuple[int, int]]] = []  # per region: (row, atoms it retired)
+    for r in range(n_rows):
+        kind, a = rows[r]
+        todo = pending[r]
+        while todo:
+            b = (todo & -todo).bit_length() - 1
+            sup, sig, _ = problem.solve_index(kind, a, b, budget)
+            if sup is None:
+                if prop == "both" and canonical_failure and kind == _kernel.ESSP:
+                    # ssp atoms precede essp atoms canonically; report the
+                    # first unsolvable one of them if any exists
+                    for r2 in range(first_ssp, n_rows):
+                        i = rows[r2][1]
+                        for j in _bits(pending[r2]):
+                            if problem.solve_index(_kernel.SSP, i, j, budget)[0] is None:
+                                return _atom(ts, _kernel.SSP, i, j)
+                return _atom(ts, kind, a, b)
+            regions.append(problem._region(sup, sig))
+            supmask = 0
+            for i, v in enumerate(sup):
+                if v:
+                    supmask |= 1 << i
+            keep_masks = (full ^ supmask, supmask)
+            gone = []
+            for k in range(n_rows):
+                pend = pending[k]
+                if pend:
+                    a2 = rows[k][1]
+                    keep = sup[a2] if k >= first_ssp else _ESSP_KEEP[sig[a2]]
+                    if keep >= 0:
+                        left = pend & keep_masks[keep]
+                        if left != pend:
+                            pending[k] = left
+                            gone.append((k, pend ^ left))
+            retired.append(gone)
+            todo = pending[r] >> (b + 1) << (b + 1)  # this row's atoms after b
+    witness = Witness(regions)
+    witness._retired = (ts, rows, retired)
     return witness
 
 

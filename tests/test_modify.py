@@ -266,6 +266,25 @@ def test_swap_only_state_fast_path():
     assert out.outcome == "yes" and out.plan.is_noop()
 
 
+def test_swap_only_state_fast_path_agrees_with_search():
+    # the fast path keeps every state or answers no; the exact removal search
+    # must find the same answer, and with it the empty plan
+    tau = bn.BooleanType.of("nop", "swap")
+    rng = random.Random(3131)
+    yes = 0
+    for _ in range(200):
+        ts = oracles.random_ts(rng, max_states=5, max_events=2)
+        for mode in ("langsim", "realize"):
+            fast = bn.decide_fast_path(ts, tau, "state", mode)
+            budget = bn.NodeBudget()
+            got = bn.modify._search_removal(ts, tau, "state", mode, len(ts.states), budget)
+            assert (fast.outcome == "yes") == (got is not None), (mode, ts)
+            if got is not None:
+                assert got == fast.plan and got.is_noop()
+                yes += 1
+    assert yes >= 10
+
+
 def test_fast_path_falls_through_outside_its_types():
     out = bn.decide_fast_path(two_loops(), TAU_D, "split", "langsim")
     assert out.outcome == "fall-through"

@@ -109,18 +109,40 @@ def test_decide_property_noncanonical_failure_is_still_unsolvable():
     assert bn.solve_atom(ts, TAU, out) is None
 
 
+def check_coverage(ts, tau, prop, w):
+    """Coverage credits every atom of prop to the first region solving it,
+    listed by region, then in processing order (ESSP before SSP)."""
+    every = bn.atoms(ts)
+    order = [a for a in every if a.kind == "essp"] + [a for a in every if a.kind == "ssp"]
+    want = [a for a in order if prop in ("both", a.kind)]
+    assert set(w.coverage) == set(want)
+    for atom, idx in w.coverage.items():
+        assert w.regions[idx].solves(atom)
+        assert not any(r.solves(atom) for r in w.regions[:idx])
+    assert list(w.coverage) == sorted(want, key=lambda a: (w.coverage[a], want.index(a)))
+    for region in w.regions:
+        assert bn.validate_region(ts, tau, region)
+
+
 def test_decide_property_witness_covers_every_atom():
     ts = bn.TransitionSystem.build(
         initial="t0", arcs=[("t0", "a", "t1"), ("t1", "a'", "t2")]
     )
     w = bn.decide_property(ts, TAU, "both")
     assert isinstance(w, bn.Witness)
-    covered = set(w.coverage)
-    assert covered == set(bn.atoms(ts))
-    for atom, idx in w.coverage.items():
-        region = w.regions[idx]
-        assert region.solves(atom)
-        assert bn.validate_region(ts, TAU, region)
+    check_coverage(ts, TAU, "both", w)
+    rng = random.Random(909)
+    taus = [TAU, bn.BooleanType.of("nop", "inp", "out", "swap", "used", "free")]
+    seen = {"ssp": 0, "essp": 0, "both": 0}
+    for trial in range(60):
+        ts = oracles.random_ts(rng, max_states=6, max_events=3)
+        tau = taus[trial % len(taus)]
+        for prop in seen:
+            w = bn.decide_property(ts, tau, prop)
+            if isinstance(w, bn.Witness):
+                check_coverage(ts, tau, prop, w)
+                seen[prop] += 1
+    assert min(seen.values()) >= 5, seen
 
 
 def test_decide_property_rejects_unknown_property():
