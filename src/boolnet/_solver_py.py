@@ -23,13 +23,26 @@ refutation core: any system that keeps all those arcs (and the atom) refutes
 the same atom, which is what the modification search uses to reject
 candidate removals wholesale.
 
-The search is a loop over an explicit stack, not recursion, so its depth is
-bounded by memory rather than by Python's recursion limit.  The stack holds
-one slot per open event level: the next branch to try, the conflict levels
+`prepare` turns the arc arrays into adjacency once per problem: for each
+state the arcs to scan when its support lands (its out-arcs with the APPLY
+table, then its in-arcs with the BACK table), and for each event its arcs.
+Each entry carries its arc's bit of the arc reason.  Only a call that asks
+for the refutation core reads arc reasons, so the tables `prepare` builds
+carry arc bit 0 everywhere and the arc reasons stay 0; a second set with
+the real bits is built on the first call that asks for a core.  Decision
+level reasons are always kept, because backjumping depends on them.
+
+`solve` is one loop with no inner calls.  Levels are the root support
+choice (level 0) and the events (event e is level e+1); each turn of the
+loop takes the next branch at the current level, scans the decided event's
+arcs, then drains the propagation stack, with the goal's forced supports
+written in place.  The loop runs over an explicit stack, not recursion, so
+its depth is bounded by memory rather than by Python's recursion limit.  The
+stack holds one slot per level: the next branch to try, the conflict levels
 and arcs gathered from the level's failed branches so far, and the trail
 mark to undo the level's assignment to.
 
-Conflict returns use -1 for "no conflict"; any value >= 0 is a bitmask of
+Conflict masks use -1 for "no conflict"; any value >= 0 is a bitmask of
 the decision levels the dead end depended on (0 = none of them).
 """
 
@@ -71,30 +84,43 @@ FOUND, NONE, BUDGET = 0, 1, 2
 OK = -1  # "no conflict" sentinel for the reason-mask plumbing
 
 
-class _Abort(Exception):
-    """Internal: node budget exhausted."""
-
-
 class Problem:
-    """Prepared arc tables for one (transition system, type) pair."""
+    """Prepared adjacency for one (transition system, type) pair.
 
-    __slots__ = (
-        "n_states", "n_events", "arc_src", "arc_ev", "arc_dst",
-        "out_arcs", "in_arcs", "ev_arcs", "initial", "branch_tags",
-    )
+    state_arcs[s]: (level, level bit, other state, arc bit, APPLY or BACK)
+    for each out-arc of s, then each in-arc.  level_arcs[e + 1]: (src, dst,
+    arc bit) for each arc of event e; slot 0, the root level, is empty.
+    `plain` holds both with arc bit 0; `cored`, with arc bit 1 << a, is None
+    until a call asks for a refutation core.  The arc arrays are kept, not
+    copied, to build `cored` from.
+    """
+
+    __slots__ = ("n_states", "n_events", "n_arcs", "initial", "branch_tags",
+                 "arcs", "plain", "cored")
 
     def __init__(self, n_states, n_events, arc_src, arc_ev, arc_dst,
                  out_arcs, in_arcs, ev_arcs, initial, branch_tags):
         self.n_states = n_states
         self.n_events = n_events
-        self.arc_src = list(arc_src)
-        self.arc_ev = list(arc_ev)
-        self.arc_dst = list(arc_dst)
-        self.out_arcs = [list(x) for x in out_arcs]
-        self.in_arcs = [list(x) for x in in_arcs]
-        self.ev_arcs = [list(x) for x in ev_arcs]
+        self.n_arcs = len(arc_src)
         self.initial = initial
         self.branch_tags = tuple(branch_tags)
+        self.arcs = (arc_src, arc_ev, arc_dst, out_arcs, in_arcs, ev_arcs)
+        self.plain = _adjacency(self.arcs, False)
+        self.cored = None
+
+
+def _adjacency(arcs, with_bits):
+    """(state_arcs, level_arcs) of a Problem, with arc bits or all zero."""
+    arc_src, arc_ev, arc_dst, out_arcs, in_arcs, ev_arcs = arcs
+    bits = [1 << a for a in range(len(arc_src))] if with_bits else [0] * len(arc_src)
+    state_arcs = [
+        [(arc_ev[a] + 1, 2 << arc_ev[a], arc_dst[a], bits[a], APPLY) for a in outs]
+        + [(arc_ev[a] + 1, 2 << arc_ev[a], arc_src[a], bits[a], BACK) for a in ins]
+        for outs, ins in zip(out_arcs, in_arcs)
+    ]
+    level_arcs = [()] + [[(arc_src[a], arc_dst[a], bits[a]) for a in arcs_e] for arcs_e in ev_arcs]
+    return state_arcs, level_arcs
 
 
 def prepare(n_states, n_events, arc_src, arc_ev, arc_dst,
@@ -113,187 +139,211 @@ def solve(p: Problem, kind: int, goal_a: int, goal_b: int,
     arcs marking the refutation core when the answer is NONE and requested
     (all zeros on FOUND/BUDGET — only a refutation has a core).
     """
-    sup = [-1] * p.n_states
-    sig = [-1] * p.n_events
-    cause_lv = [0] * p.n_states   # decision levels behind each support
-    cause_arc = [0] * p.n_states  # arcs behind each support
-    arc_src, arc_ev, arc_dst = p.arc_src, p.arc_ev, p.arc_dst
-    ev_lv = [1 << (e + 1) for e in range(p.n_events)]  # bit 0 = root choice
-    nodes = 0
+    if collect_touched:
+        if p.cored is None:
+            p.cored = _adjacency(p.arcs, True)
+        state_arcs, level_arcs = p.cored
+    else:
+        state_arcs, level_arcs = p.plain
+    n_states = p.n_states
+    top = p.n_events + 1
+    sup = [-1] * n_states
+    sig = [-1] * top              # by level; slot 0 (the root) stays -1
+    cause_lv = [0] * n_states     # decision levels behind each support
+    cause_arc = [0] * n_states    # arcs behind each support
     trail = []    # states with freshly assigned support, for undo
     pending = []  # states whose support just landed, awaiting arc scans
-    conflict_arcs = 0  # arc mask paired with the last conflict return
-
-    def charge():
-        nonlocal nodes
-        nodes += 1
-        if 0 <= limit < nodes:
-            raise _Abort()
-
-    def assign_sup(s, v, lv, ar):
-        nonlocal conflict_arcs
-        old = sup[s]
-        if old >= 0:
-            if old == v:
-                return OK
-            conflict_arcs = cause_arc[s] | ar
-            return cause_lv[s] | lv
-        sup[s] = v
-        cause_lv[s] = lv
-        cause_arc[s] = ar
-        trail.append(s)
-        pending.append(s)
-        if kind == SSP:
-            if s == goal_a:
-                return assign_sup(goal_b, 1 - v, lv, ar)
-            if s == goal_b:
-                return assign_sup(goal_a, 1 - v, lv, ar)
-        return OK
-
-    def flow_forward(a):
-        nonlocal conflict_arcs
-        src = arc_src[a]
-        e = arc_ev[a]
-        v2 = APPLY[sig[e]][sup[src]]
-        lv = cause_lv[src] | ev_lv[e]
-        ar = cause_arc[src] | (1 << a)
-        if v2 < 0:
-            conflict_arcs = ar
-            return lv
-        return assign_sup(arc_dst[a], v2, lv, ar)
-
-    def flow_backward(a):
-        nonlocal conflict_arcs
-        dst = arc_dst[a]
-        e = arc_ev[a]
-        v0 = BACK[sig[e]][sup[dst]]
-        if v0 == -2:
-            return OK
-        lv = cause_lv[dst] | ev_lv[e]
-        ar = cause_arc[dst] | (1 << a)
-        if v0 == -1:
-            conflict_arcs = ar
-            return lv
-        return assign_sup(arc_src[a], v0, lv, ar)
-
-    def propagate():
-        while pending:
-            s = pending.pop()
-            for a in p.out_arcs[s]:
-                if sig[arc_ev[a]] >= 0:
-                    cm = flow_forward(a)
-                    if cm >= 0:
-                        return cm
-            for a in p.in_arcs[s]:
-                if sig[arc_ev[a]] >= 0:
-                    cm = flow_backward(a)
-                    if cm >= 0:
-                        return cm
-        return OK
-
-    def assign_sig(e, t):
-        nonlocal conflict_arcs
-        charge()
-        sig[e] = t
-        if kind == ESSP and e == goal_a:
-            if APPLY[t][0] >= 0 and APPLY[t][1] >= 0:
-                conflict_arcs = 0
-                return ev_lv[e]
-            cm = assign_sup(goal_b, 0 if APPLY[t][0] < 0 else 1, ev_lv[e], 0)
-            if cm >= 0:
-                return cm
-        for a in p.ev_arcs[e]:
-            if sup[arc_src[a]] >= 0:
-                cm = flow_forward(a)
-                if cm >= 0:
-                    return cm
-            elif sup[arc_dst[a]] >= 0:
-                cm = flow_backward(a)
-                if cm >= 0:
-                    return cm
-        return propagate()
-
-    n_events = p.n_events
+    # the SSP goal pair: a support landing on one forces the complement on
+    # the other (pa + pb - s is the partner of s)
+    pa, pb = (goal_a, goal_b) if kind == SSP else (-1, -1)
+    essp_level = goal_a + 1 if kind == ESSP else -1
+    initial = p.initial
     tags = p.branch_tags
     n_tags = len(tags)
-    # the search stack, one slot per event level (see the module docstring)
-    branch = [0] * n_events
-    acc_lv = [0] * n_events
-    acc_ar = [0] * n_events
-    marks = [0] * n_events
-
-    def search():
-        """Assign every event signature in order; OK or a conflict mask."""
-        nonlocal conflict_arcs
-        if n_events == 0:
-            return OK
-        e = 0
-        branch[0] = acc_lv[0] = acc_ar[0] = 0
-        while True:
-            i = branch[e]
-            if i < n_tags:
-                branch[e] = i + 1
-                marks[e] = len(trail)
-                cm = assign_sig(e, tags[i])
-                if cm < 0:
-                    e += 1
-                    if e == n_events:
-                        return OK
-                    branch[e] = acc_lv[e] = acc_ar[e] = 0
-                    continue
+    # the search stack, one slot per level (see the module docstring)
+    branch = [0] * top
+    acc_lv = [0] * top
+    acc_ar = [0] * top
+    marks = [0] * top
+    nodes = 0
+    level = 0
+    conflict_arcs = 0  # arc mask paired with the conflict mask cm
+    while True:
+        i = branch[level]
+        if i < (n_tags if level else 2):
+            branch[level] = i + 1
+            nodes += 1
+            if 0 <= limit < nodes:
+                return (BUDGET, None, None, nodes,
+                        bytearray(p.n_arcs) if collect_touched else None)
+            marks[level] = len(trail)
+            cm = OK
+            if level == 0:
+                # root choice: nothing is assigned, so nothing can conflict
+                sup[initial] = i
+                cause_lv[initial] = 1
+                cause_arc[initial] = 0
+                trail.append(initial)
+                pending.append(initial)
+                if initial == pa or initial == pb:
+                    q = pa + pb - initial
+                    sup[q] = 1 - i
+                    cause_lv[q] = 1
+                    cause_arc[q] = 0
+                    trail.append(q)
+                    pending.append(q)
             else:
-                # every branch at e failed: the union of their conflicts,
-                # minus e itself, is the failure of the branch below
-                conflict_arcs = acc_ar[e]
-                cm = acc_lv[e] & ~ev_lv[e]
-                if e == 0:
-                    return cm
-                e -= 1
-            # the current branch at level e failed with conflict cm
-            while True:
-                pending.clear()
-                sig[e] = -1
-                mark = marks[e]
-                while len(trail) > mark:
-                    sup[trail.pop()] = -1
-                if cm & ev_lv[e]:
-                    acc_lv[e] |= cm
-                    acc_ar[e] |= conflict_arcs
-                    break
-                # the failure never looked at this decision: siblings are
-                # doomed for the same reason, hand the conflict downward
-                if e == 0:
-                    return cm
-                e -= 1
-
-    core = 0
-    try:
-        for v0 in (0, 1):
-            charge()
-            cm = assign_sup(p.initial, v0, 1, 0)
+                t = tags[i]
+                sig[level] = t
+                lbit = 1 << level
+                fwd = APPLY[t]
+                back = BACK[t]
+                if level == essp_level:
+                    if fwd[0] >= 0 and fwd[1] >= 0:
+                        cm = lbit
+                        conflict_arcs = 0
+                    else:
+                        v = 0 if fwd[0] < 0 else 1
+                        old = sup[goal_b]
+                        if old < 0:
+                            sup[goal_b] = v
+                            cause_lv[goal_b] = lbit
+                            cause_arc[goal_b] = 0
+                            trail.append(goal_b)
+                            pending.append(goal_b)
+                        elif old != v:
+                            cm = cause_lv[goal_b] | lbit
+                            conflict_arcs = cause_arc[goal_b]
+                if cm < 0:
+                    # the decided event's arcs, forward from an assigned
+                    # source, else backward from an assigned destination
+                    for src, dst, bit in level_arcs[level]:
+                        v = sup[src]
+                        if v >= 0:
+                            o = dst
+                            v = fwd[v]
+                            lv = cause_lv[src] | lbit
+                            ar = cause_arc[src] | bit
+                        else:
+                            v = sup[dst]
+                            if v < 0:
+                                continue
+                            v = back[v]
+                            if v == -2:
+                                continue
+                            o = src
+                            lv = cause_lv[dst] | lbit
+                            ar = cause_arc[dst] | bit
+                        if v < 0:
+                            cm = lv
+                            conflict_arcs = ar
+                            break
+                        old = sup[o]
+                        if old < 0:
+                            sup[o] = v
+                            cause_lv[o] = lv
+                            cause_arc[o] = ar
+                            trail.append(o)
+                            pending.append(o)
+                            if o == pa or o == pb:
+                                q = pa + pb - o
+                                old = sup[q]
+                                if old < 0:
+                                    sup[q] = 1 - v
+                                    cause_lv[q] = lv
+                                    cause_arc[q] = ar
+                                    trail.append(q)
+                                    pending.append(q)
+                                elif old == v:
+                                    cm = cause_lv[q] | lv
+                                    conflict_arcs = cause_arc[q] | ar
+                                    break
+                        elif old != v:
+                            cm = cause_lv[o] | lv
+                            conflict_arcs = cause_arc[o] | ar
+                            break
+            # propagation: scan the arcs of each state whose support landed;
+            # its assignment step repeats the event scan's, written out twice
+            # so that no call sits in the per-arc path
+            while pending and cm < 0:
+                s = pending.pop()
+                vs = sup[s]
+                lvs = cause_lv[s]
+                ars = cause_arc[s]
+                for lev, lbit, o, bit, table in state_arcs[s]:
+                    t = sig[lev]
+                    if t < 0:
+                        continue
+                    v = table[t][vs]
+                    if v < 0:
+                        if v == -2:
+                            continue
+                        cm = lvs | lbit
+                        conflict_arcs = ars | bit
+                        break
+                    old = sup[o]
+                    if old < 0:
+                        sup[o] = v
+                        cause_lv[o] = lv = lvs | lbit
+                        cause_arc[o] = ar = ars | bit
+                        trail.append(o)
+                        pending.append(o)
+                        if o == pa or o == pb:
+                            q = pa + pb - o
+                            old = sup[q]
+                            if old < 0:
+                                sup[q] = 1 - v
+                                cause_lv[q] = lv
+                                cause_arc[q] = ar
+                                trail.append(q)
+                                pending.append(q)
+                            elif old == v:
+                                cm = cause_lv[q] | lv
+                                conflict_arcs = cause_arc[q] | ar
+                                break
+                    elif old != v:
+                        cm = cause_lv[o] | lvs | lbit
+                        conflict_arcs = cause_arc[o] | ars | bit
+                        break
             if cm < 0:
-                cm = propagate()
-            if cm < 0:
-                cm = search()
-            if cm < 0:
-                assert all(v >= 0 for v in sup)
-                touched = bytearray(len(arc_src)) if collect_touched else None
-                return (FOUND, sup[:], sig[:], nodes, touched)
-            core |= conflict_arcs
+                level += 1
+                if level == top:
+                    assert all(v >= 0 for v in sup)
+                    return (FOUND, sup, sig[1:], nodes,
+                            bytearray(p.n_arcs) if collect_touched else None)
+                branch[level] = acc_lv[level] = acc_ar[level] = 0
+                continue
+        else:
+            # every branch at this level failed: the union of their
+            # conflicts, minus the level itself, is the failure of the
+            # branch below (at the root, where nothing is left to undo,
+            # the loop below ends the search)
+            conflict_arcs = acc_ar[level]
+            cm = acc_lv[level] & ~(1 << level)
+            if level:
+                level -= 1
+        # the current branch at this level failed with conflict cm
+        while True:
             pending.clear()
-            while trail:
+            sig[level] = -1
+            mark = marks[level]
+            while len(trail) > mark:
                 sup[trail.pop()] = -1
-            if not (cm & 1):
-                break  # refuted independently of the root choice
-    except _Abort:
-        touched = bytearray(len(arc_src)) if collect_touched else None
-        return (BUDGET, None, None, nodes, touched)
-    touched = None
-    if collect_touched:
-        touched = bytearray(len(arc_src))
-        m = core
-        while m:
-            low = m & -m
-            touched[low.bit_length() - 1] = 1
-            m ^= low
-    return (NONE, None, None, nodes, touched)
+            if cm & (1 << level):
+                acc_lv[level] |= cm
+                acc_ar[level] |= conflict_arcs
+                break
+            if level == 0:
+                # refuted: the root's conflicts are the refutation core
+                touched = None
+                if collect_touched:
+                    touched = bytearray(p.n_arcs)
+                    m = acc_ar[0] | conflict_arcs
+                    while m:
+                        low = m & -m
+                        touched[low.bit_length() - 1] = 1
+                        m ^= low
+                return (NONE, None, None, nodes, touched)
+            # the failure never looked at this decision: siblings are
+            # doomed for the same reason, hand the conflict downward
+            level -= 1

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import BoolnetError, SearchBudgetExceeded
+from .errors import BoolnetError, ParseError, SearchBudgetExceeded
 from .gadgets import (
     GadgetSpec,
     Graph3B,
@@ -40,10 +40,13 @@ EXIT_BUDGET = 3
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -54,6 +57,16 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+
+
+def _nonnegative(arg: str) -> int:
+    try:
+        value = int(arg)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, not {arg!r}")
+    return value
 
 
 def _type(arg: str) -> BooleanType:
@@ -259,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("modify", help="decide a budgeted modification")
     sp.add_argument("--kind", choices=("split", "edge", "event", "state"), required=True)
     sp.add_argument("--mode", choices=("embed", "langsim", "realize"), required=True)
-    sp.add_argument("--kappa", type=int, required=True)
+    sp.add_argument("--kappa", type=_nonnegative, required=True)
     sp.add_argument("--type", required=True)
     sp.add_argument("ts")
     common(sp, ("plan", "ts"))

@@ -104,6 +104,13 @@ def test_modify_budget_exit(files, monkeypatch):
     assert code == 3
 
 
+def test_modify_negative_kappa_is_a_usage_error(files, capsys):
+    argv = ["modify", "--kind", "edge", "--mode", "embed", "--kappa", "-1", "--type", "nop,inp,swap"]
+    assert run(argv + [str(files["stuck"])]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "--kappa" in err and "Traceback" not in err
+
+
 def test_check_and_synth_budget_exit(files, monkeypatch):
     monkeypatch.setenv("BOOLNET_NODE_LIMIT", "1")
     chain = files["dir"] / "chain.ts"
@@ -156,6 +163,14 @@ def test_parse_error_exit(files, tmp_path, capsys):
     bad.write_text("arc s0 a s1\n", encoding="utf-8")
     assert run(["check", "--prop", "ssp", "--type", "nop", str(bad)]) == 2
     assert capsys.readouterr().err
+
+
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "utf16.ts"
+    bad.write_bytes(b"\xff\xfe" + "initial s0\narc s0 a s1\n".encode("utf-16-le"))
+    assert run(["check", "--prop", "ssp", "--type", "nop,inp,swap", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "UTF-8" in err
 
 
 def test_unknown_subcommand_exit(capsys):

@@ -3,19 +3,26 @@
 Every result of `_solver_py.solve` — status, support, signature, charged
 nodes and refutation core — over a fixed random corpus is hashed.  Any
 change to the search tree, node accounting, backjumping or core collection
-changes the digest.  The value was recorded with the recursive search, before
-it was rewritten as a loop over an explicit stack.
+changes the digest.  GOLDEN was recorded with the recursive search, before
+it was rewritten as a loop over an explicit stack.  GOLDEN_WIDE covers what
+GOLDEN does not: the same corpus solved without a refutation core, and
+reachability graphs with more than 64 arcs, whose arc masks outgrow one
+machine word, solved both with and without one.  It was recorded before propagation was fused into one
+loop.
 """
 
 import hashlib
 import random
+import warnings
 
+import boolnet as bn
 from boolnet import _solver_py
 from boolnet.interactions import INTERACTIONS, BooleanType
 
 import oracles
 
 GOLDEN = "0461cbb5ebe13bd9c8d3f2ddd65bb64d866d212b84f5aea3b450e52736aea107"
+GOLDEN_WIDE = "03fcc261c6c20ec60a75164734830a2f15294c2b206ffde726d243dc088bab61"
 
 _TAG_ID = {t: i for i, t in enumerate(INTERACTIONS)}
 
@@ -49,7 +56,7 @@ def atom_list(ts):
     return out
 
 
-def corpus_digest(trials=400, seed=51):
+def corpus_digest(collect_touched=True, trials=400, seed=51):
     rng = random.Random(seed)
     h = hashlib.sha256()
     for trial in range(trials):
@@ -58,9 +65,42 @@ def corpus_digest(trials=400, seed=51):
         p = prepared(ts, tau)
         for kind, a, b in atom_list(ts):
             for limit in LIMITS:
-                h.update(repr(_solver_py.solve(p, kind, a, b, limit, True)).encode())
+                h.update(repr(_solver_py.solve(p, kind, a, b, limit, collect_touched)).encode())
+    return h.hexdigest()
+
+
+# net types whose random reachability graphs often have more than 64 arcs
+WIDE_NET_TAUS = [BooleanType.of("nop", "set", "res", "swap"), BooleanType.of("nop", "swap")]
+
+
+def wide_digest(trials=40, atoms_each=25, seed=52):
+    """25 sampled atoms of each of 40 reachability graphs with 65-200 arcs,
+    each graph under the next type of TAUS, at four limits, with and
+    without a core."""
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    for trial in range(trials):
+        while True:
+            net = oracles.random_net(rng, WIDE_NET_TAUS[trial % 2], max_places=6, max_transitions=6)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # transitions that never fire are dropped
+                ts = bn.reachability_graph(net)
+            if 64 < len(ts.arcs) <= 200:
+                break
+        p = prepared(ts, TAUS[trial % len(TAUS)])
+        for kind, a, b in rng.sample(atom_list(ts), atoms_each):
+            for limit in (-1, 0, 7, 60):
+                for collect_touched in (False, True):
+                    h.update(repr(_solver_py.solve(p, kind, a, b, limit, collect_touched)).encode())
     return h.hexdigest()
 
 
 def test_search_tree_digest_is_pinned():
     assert corpus_digest() == GOLDEN
+
+
+def test_uncollected_and_wide_digest_is_pinned():
+    h = hashlib.sha256()
+    h.update(corpus_digest(collect_touched=False).encode())
+    h.update(wide_digest().encode())
+    assert h.hexdigest() == GOLDEN_WIDE

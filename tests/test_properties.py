@@ -6,6 +6,8 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
 import boolnet as bn
+from boolnet import _solver_py
+from boolnet.regions import CompiledProblem
 import oracles
 
 RELAXED = dict(deadline=None, suppress_health_check=list(HealthCheck))
@@ -116,6 +118,20 @@ def test_solver_agrees_with_enumeration(ts, tau):
         got = bn.solve_atom(ts, tau, atom)
         want = oracles.brute_solve_atom(ts, tau, (atom.kind, atom.first, atom.second), regions)
         assert (got is not None) == want
+
+
+@settings(max_examples=40, **RELAXED)
+@given(systems(max_states=7, max_events=3), st.sampled_from(TAUS))
+def test_kernel_core_request_leaves_the_search_alone(ts, tau):
+    """Asking the kernel for a refutation core changes only the core slot."""
+    problem = CompiledProblem(ts, tau)
+    for atom in bn.atoms(ts):
+        kind, a, b = problem.atom_args(atom)
+        for limit in (-1, 0, 1, 3, 12):
+            plain = _solver_py.solve(problem.handle, kind, a, b, limit, False)
+            cored = _solver_py.solve(problem.handle, kind, a, b, limit, True)
+            assert plain[:4] == cored[:4]
+            assert plain[4] is None
 
 
 @settings(max_examples=20, **RELAXED)
