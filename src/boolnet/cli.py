@@ -7,6 +7,7 @@ exceeded.  Decision subcommands never print a "no" verdict with exit 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import BoolnetError, ParseError, SearchBudgetExceeded
@@ -287,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_gadget)
 
     sp = sub.add_parser("vc", help="brute-force vertex cover")
-    sp.add_argument("--lambda", dest="lam", type=int, required=True)
+    sp.add_argument("--lambda", dest="lam", type=_nonnegative, required=True)
     sp.add_argument("graph")
     common(sp, ("cover",))
     sp.set_defaults(fn=_cmd_vc)
@@ -299,10 +300,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on first use."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -7,18 +7,23 @@ returning a minimum-cost (canonically least) plan on yes.
 
 Search layout: label splitting iterates over total label counts, enumerating
 per-event group counts and then set partitions of each split event's
-occurrence list as restricted-growth strings; removals iterate over removal
-subsets in canonical order per cost level.  Both searches stay exact; all
-pruning below is refutation-based (forced-unsolvable-atom patterns for
-splits, recorded refutation certificates for removals) and never skips a
-potentially satisfiable candidate.
+occurrence list as restricted-growth strings, over an explicit stack;
+removals iterate over removal subsets in canonical order per cost level.
+Both searches stay exact; all pruning below is refutation-based
+(forced-unsolvable-atom patterns for splits, recorded refutation
+certificates for removals) and never skips a potentially satisfiable
+candidate.
 
-Removal items are data: each removable edge, event or state is its arc mask
-plus the bit of the state or event it takes with it, so the three removal
-kinds differ only in their item list.  apply_plan and the removal search
-share one validity screen over those masks, and removal candidates are
-built straight from the surviving index arcs, without a round trip through
-names.
+The searches work in integer indices from the input system to the solver,
+which they reach only through solve_index and decide_property.  Names appear
+only in the plans they return and in decide_property's failure atom, which
+they turn into indices once.  Candidates are built straight from index
+arcs: a split candidate from the group of each arc, a removal candidate
+from the surviving arcs.  Removal items are data: each removable edge,
+event or state is its arc mask plus the bit of the state or event it takes
+with it, so the three removal kinds differ only in their item list, and
+apply_plan and the removal search share one validity screen over those
+masks.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ from dataclasses import dataclass
 from .errors import InvalidPlan, ParseError, UnknownId
 from .interactions import BooleanType
 from .regions import (
+    ESSP,
+    SSP,
     CompiledProblem,
     NodeBudget,
     SeparationAtom,
@@ -138,18 +145,26 @@ def _apply_split(ts: TransitionSystem, plan: ModificationPlan) -> TransitionSyst
         groups_used[e] = top + 1
         for pos, g in enumerate(groups):
             grp[occ[pos]] = g
-    return _relabel(ts, grp, groups_used, ts.name)[0]
+    return _split_system(ts, grp, groups_used, ts.name)[0]
 
 
-def _relabel(ts: TransitionSystem, grp: list[int], groups_used: dict[int, int], name):
-    """The system with arc a relabelled to group grp[a] of its event, and the
-    (event index, group) -> label map it used."""
+def _split_system(ts: TransitionSystem, grp: list[int], groups_used: dict[int, int], name=None):
+    """The system with arc a relabelled to group grp[a] of its event, built
+    from its index arcs, and the candidate event index of each (event index,
+    group).  The order is the one TransitionSystem.build gives the named
+    arcs: states by first appearance (the initial state, then each arc's
+    source and target), events by first appearance of their label."""
     labels = _split_labels(ts, groups_used)
-    arcs = [
-        (ts.states[src], labels[(e, grp[a])], ts.states[dst])
-        for a, (src, e, dst) in enumerate(ts.arcs)
-    ]
-    return TransitionSystem.build(initial=ts.initial_state, arcs=arcs, name=name), labels
+    state_at = {ts.initial: 0}
+    event_at: dict[tuple[int, int], int] = {}
+    arcs = []
+    for a, (src, e, dst) in enumerate(ts.arcs):
+        s = state_at.setdefault(src, len(state_at))
+        d = state_at.setdefault(dst, len(state_at))
+        arcs.append((s, event_at.setdefault((e, grp[a]), len(event_at)), d))
+    states = tuple(ts.states[s] for s in state_at)
+    events = tuple(labels[eg] for eg in event_at)
+    return TransitionSystem(name, states, events, 0, tuple(arcs)), event_at
 
 
 def _removal_items(ts: TransitionSystem, kind: str) -> list[tuple]:
@@ -224,8 +239,9 @@ def _unreached_state(ts: TransitionSystem, removed_mask: int, gone_states: int) 
 
 def _restrict(ts: TransitionSystem, removed_mask: int, gone_states: int, gone_events: int, name):
     """The system without the removed arcs and gone states and events, built
-    from its index arcs, and the original index of each surviving arc.
-    Validity is the caller's business: see _dead_event and _unreached_state."""
+    from its index arcs, and the original index of each surviving arc, state
+    and event.  Validity is the caller's business: see _dead_event and
+    _unreached_state."""
     states = [s for s in range(len(ts.states)) if not (gone_states >> s) & 1]
     events = [e for e in range(len(ts.events)) if not (gone_events >> e) & 1]
     origin = [a for a in range(len(ts.arcs)) if not (removed_mask >> a) & 1]
@@ -242,7 +258,7 @@ def _restrict(ts: TransitionSystem, removed_mask: int, gone_states: int, gone_ev
         state_at[ts.initial],
         tuple(arcs),
     )
-    return restricted, origin
+    return restricted, origin, states, events
 
 
 # -- plan dump ------------------------------------------------------------------
@@ -498,55 +514,6 @@ def _abab_patterns(ts: TransitionSystem) -> list[tuple[int, int, int, int, int, 
 # -- label-splitting search --------------------------------------------------------
 
 
-class _SplitChecker:
-    """Property checks over split candidates with a sticky failure atom.
-
-    Unsolvable atoms tend to survive across neighbouring candidates, so the
-    last failing atom (in original-event/group terms) is rechecked first and
-    usually refutes the candidate with a single solver call.
-    """
-
-    def __init__(self, ts, tau, prop, budget):
-        self.ts = ts
-        self.tau = tau
-        self.prop = prop
-        self.budget = budget
-        self.last_fail = None  # ("ssp", s, s') names | ("essp", e_idx, group, state)
-
-    def _portable(self, cand, labels_rev, atom):
-        if atom.kind == "ssp":
-            return ("ssp", atom.first, atom.second)
-        e, g = labels_rev[atom.first]
-        return ("essp", e, g, atom.second)
-
-    def check(self, cand: TransitionSystem, labels: dict[tuple[int, int], str]) -> Witness | None:
-        problem = CompiledProblem(cand, self.tau)
-        lf = self.last_fail
-        if lf is not None:
-            atom = None
-            if lf[0] == "ssp":
-                atom = SeparationAtom("ssp", lf[1], lf[2])
-            else:
-                _, e, g, st = lf
-                name = labels.get((e, g))
-                if name is not None and cand.delta.get(
-                    (cand.state_index[st], cand.event_index[name])
-                ) is None:
-                    atom = SeparationAtom("essp", name, st)
-            if atom is not None:
-                region, _ = problem.solve(atom, self.budget)
-                if region is None:
-                    return None
-        result = decide_property(
-            cand, self.tau, self.prop, self.budget, problem=problem, canonical_failure=False
-        )
-        if isinstance(result, Witness):
-            return result
-        labels_rev = {name: eg for eg, name in labels.items()}
-        self.last_fail = self._portable(cand, labels_rev, result)
-        return None
-
-
 def _search_split(ts, tau, mode, kappa, budget) -> ModificationPlan | None:
     prop = property_for_mode(mode)
     need_ssp = prop in ("ssp", "both")
@@ -555,7 +522,10 @@ def _search_split(ts, tau, mode, kappa, budget) -> ModificationPlan | None:
     occ = ts.event_arcs
     tops = [len(o) - 1 for o in occ]  # most extra groups per event
     patterns = _abab_patterns(ts) if tau.tags <= _OBSTRUCTION_SCOPE else []
-    checker = _SplitChecker(ts, tau, prop, budget)
+    # the last failing atom, rechecked first: it usually refutes the next
+    # candidate too.  (SSP, s, s') or (ESSP, (e, g), s); every candidate has
+    # the same state order (it depends only on ts.arcs).
+    sticky = None
 
     grp = [0] * len(ts.arcs)
     extra = [0] * n_events
@@ -609,49 +579,71 @@ def _search_split(ts, tau, mode, kappa, budget) -> ModificationPlan | None:
             for pi in watchers.get(a, ()):
                 countdown[pi] += 1
 
+        groups_used = {e: extra[e] + 1 for e in split_events}
+
         def emit() -> ModificationPlan | None:
-            cand, labels = _relabel(ts, grp, {e: extra[e] + 1 for e in split_events}, None)
-            witness = checker.check(cand, labels)
-            if witness is None:
+            nonlocal sticky
+            cand, event_at = _split_system(ts, grp, groups_used)
+            problem = CompiledProblem(cand, tau)
+            if sticky is not None:
+                kind, a, b = sticky
+                if kind == ESSP:
+                    a = event_at.get(a)
+                    if a is None or (b, a) in cand.delta:
+                        kind = None  # not an atom of this candidate
+                if kind is not None and problem.solve_index(kind, a, b, budget)[0] is None:
+                    return None
+            result = decide_property(
+                cand, tau, prop, budget, problem=problem, canonical_failure=False
+            )
+            if not isinstance(result, Witness):
+                kind, a, b = problem.atom_args(result)
+                sticky = (kind, list(event_at)[a] if kind == ESSP else a, b)
                 return None
             splits = tuple(
                 (ts.events[e], tuple(grp[a] for a in occ[e])) for e in split_events
             )
             return ModificationPlan(kind="split", cost=n_events + sum(extra), splits=splits)
 
-        def partition_event(idx: int) -> ModificationPlan | None:
-            if idx == len(split_events):
-                return emit()
-            e = split_events[idx]
-            arcs_e = occ[e]
-            g_target = extra[e] + 1
-
-            def rgs(pos: int, used: int) -> ModificationPlan | None:
-                if pos == len(arcs_e):
-                    return partition_event(idx + 1)
-                rem_after = len(arcs_e) - pos - 1
-                hi = min(used, g_target - 1)
-                for g in range(hi + 1):
-                    opened = used + 1 if g == used else used
-                    if g_target - opened > rem_after:
-                        continue  # not enough occurrences left to open all groups
-                    budget.charge()
-                    ok = assign(arcs_e[pos], g)
-                    if ok:
-                        found = rgs(pos + 1, opened)
-                        if found is not None:
-                            return found
-                    unassign(arcs_e[pos])
-                return None
-
-            return rgs(0, 0)
-
-        result = partition_event(0)
-        # restore group zero for the next composition
-        for e in split_events:
-            for a in occ[e]:
-                grp[a] = 0
-        return result
+        # each split event's occurrences as a restricted-growth string into
+        # exactly its group count, event after event, over an explicit stack
+        # of slots: an occurrence's arc, its event's group count, and the
+        # occurrences of that event left after it.  Every failed assign is
+        # undone, so grp is all zero again when no plan is found.
+        slots = [
+            (a, extra[e] + 1, len(occ[e]) - pos - 1)
+            for e in split_events
+            for pos, a in enumerate(occ[e])
+        ]
+        n = len(slots)
+        choice = [-1] * n  # the group at each slot, -1 before its first try
+        opened = [0] * (n + 1)  # the groups its event opened before each slot
+        i = 0
+        while i >= 0:
+            if i == n:
+                found = emit()
+                if found is not None:
+                    return found
+                i -= 1
+                continue
+            arc, target, rem_after = slots[i]
+            used = opened[i]
+            g = choice[i]
+            if g >= 0:
+                unassign(arc)
+            choice[i] = -1
+            for g in range(g + 1, min(used, target - 1) + 1):
+                now = used + 1 if g == used else used
+                if target - now > rem_after:
+                    continue  # not enough occurrences left to open all groups
+                budget.charge()
+                if assign(arc, g):
+                    choice[i] = g
+                    opened[i + 1] = now if rem_after else 0  # next event from 0
+                    break
+                unassign(arc)
+            i += 1 if choice[i] >= 0 else -1
+        return None
 
     max_extra = min(kappa - n_events, sum(tops))
     for total in range(0, max_extra + 1):
@@ -712,7 +704,7 @@ def _search_removal(ts, tau, kind, mode, kappa, budget) -> ModificationPlan | No
     n_items = len(items)
     event_masks = [_mask_of(occ) for occ in ts.event_arcs]
     cert_seen: set[tuple] = set()
-    last_fail: tuple | None = None  # portable atom key, see _atom_key
+    last_fail: tuple | None = None  # atom key in original indices, see _atom_key
 
     # certificates split two ways: ones whose atom survives every removal of
     # this kind unless explicitly hit ("hard" — together they form a cover
@@ -744,13 +736,12 @@ def _search_removal(ts, tau, kind, mode, kappa, budget) -> ModificationPlan | No
             acc |= hit_bits[i]
             suffix_cover[i] = acc
 
-    def record_certificate(arc_origin, atom, touched):
+    def record_certificate(arc_origin, key, touched):
         mask = 0
         if touched is not None:
             for i, hit in enumerate(touched):
                 if hit:
                     mask |= 1 << arc_origin[i]
-        key = _atom_key(ts, atom)
         if (key, mask) not in cert_seen:
             cert_seen.add((key, mask))
             register_cert(_Certificate(key, mask))
@@ -818,14 +809,18 @@ def _search_removal(ts, tau, kind, mode, kappa, budget) -> ModificationPlan | No
                 break
             combo, removal = found
             resume = combo
-            cand, arc_origin = _restrict(ts, *removal, None)
+            cand, arc_origin, states, events = _restrict(ts, *removal, None)
             problem = CompiledProblem(cand, tau)
+            _, gone_states, gone_events = removal
 
             if last_fail is not None and _atom_alive(last_fail, *removal):
-                atom = _atom_from_key(ts, last_fail)
-                region, touched = problem.solve(atom, budget, collect_touched=True)
-                if region is None:
-                    record_certificate(arc_origin, atom, touched)
+                atom_kind, a, b, _ = last_fail
+                a = _rank(gone_events if atom_kind == ESSP else gone_states, a)
+                sup, _, touched = problem.solve_index(
+                    atom_kind, a, _rank(gone_states, b), budget, collect_touched=True
+                )
+                if sup is None:
+                    record_certificate(arc_origin, last_fail, touched)
                     continue
 
             result = decide_property(
@@ -834,8 +829,10 @@ def _search_removal(ts, tau, kind, mode, kappa, budget) -> ModificationPlan | No
             if isinstance(result, Witness):
                 names = tuple(items[i][0] for i in combo)
                 return ModificationPlan(kind=kind, cost=cost, **{kind + "s": names})
-            _, touched = problem.solve(result, budget, collect_touched=True)
-            last_fail = record_certificate(arc_origin, result, touched)
+            atom_kind, a, b = problem.atom_args(result)
+            _, _, touched = problem.solve_index(atom_kind, a, b, budget, collect_touched=True)
+            key = _atom_key(ts, atom_kind, (events if atom_kind == ESSP else states)[a], states[b])
+            last_fail = record_certificate(arc_origin, key, touched)
     return None
 
 
@@ -846,29 +843,25 @@ def _mask_of(arcs) -> int:
     return m
 
 
-def _atom_key(ts: TransitionSystem, atom: SeparationAtom) -> tuple:
-    """(kind, a, b, alpha_bit) in indices: a state pair for ssp, an (event,
-    state) pair for essp.  alpha_bit is the bit of the event's arc at that
-    state, which a candidate must remove for the atom to exist; it is 0 when
-    there is no such arc, and always for ssp."""
-    if atom.kind == "ssp":
-        return ("ssp", ts.state_index[atom.first], ts.state_index[atom.second], 0)
-    e, s = ts.event_index[atom.first], ts.state_index[atom.second]
-    arc = ts.arc_at.get((s, e))
-    return ("essp", e, s, 0 if arc is None else 1 << arc)
+def _atom_key(ts: TransitionSystem, kind: int, a: int, b: int) -> tuple:
+    """(kind, a, b, alpha_bit) for the kernel atom (kind, a, b) of ts: a
+    state pair for SSP, an (event, state) pair for ESSP.  alpha_bit is the
+    bit of the event's arc at that state, which a candidate must remove for
+    the atom to exist; it is 0 when there is no such arc, and always for SSP."""
+    arc = ts.arc_at.get((b, a)) if kind == ESSP else None
+    return (kind, a, b, 0 if arc is None else 1 << arc)
 
 
-def _atom_from_key(ts: TransitionSystem, key: tuple) -> SeparationAtom:
-    if key[0] == "ssp":
-        return SeparationAtom("ssp", ts.states[key[1]], ts.states[key[2]])
-    return SeparationAtom("essp", ts.events[key[1]], ts.states[key[2]])
+def _rank(gone: int, i: int) -> int:
+    """Index i once the indices in the bitmask gone are dropped."""
+    return i - (gone & ((1 << i) - 1)).bit_count()
 
 
 def _atom_alive(key, removed_mask: int, gone_states: int, gone_events: int) -> bool:
     """Whether the atom is still an atom of the candidate: its states and
-    event kept, and for essp the event's arc at the state removed."""
+    event kept, and for ESSP the event's arc at the state removed."""
     kind, a, b, alpha_bit = key
-    if kind == "ssp":
+    if kind == SSP:
         return not ((gone_states >> a) & 1 or (gone_states >> b) & 1)
     if (gone_events >> a) & 1 or (gone_states >> b) & 1:
         return False

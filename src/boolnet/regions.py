@@ -26,6 +26,9 @@ from .ts import TransitionSystem
 
 KERNEL = _kernel.KERNEL_NAME
 
+# The kernel's atom kinds: (SSP, state, state) and (ESSP, event, state).
+SSP, ESSP = _kernel.SSP, _kernel.ESSP
+
 _TAG_ID = {t: i for i, t in enumerate(INTERACTIONS)}
 
 # For an ESSP row of an event with this tag id, the support bit of the states
@@ -267,7 +270,7 @@ class CompiledProblem:
             for s in (atom.first, atom.second):
                 if s not in ts.state_index:
                     raise DomainMismatch(f"atom state {s!r} not in the system")
-            return (_kernel.SSP, ts.state_index[atom.first], ts.state_index[atom.second])
+            return (SSP, ts.state_index[atom.first], ts.state_index[atom.second])
         if atom.first not in ts.event_index:
             raise DomainMismatch(f"atom event {atom.first!r} not in the system")
         if atom.second not in ts.state_index:
@@ -276,7 +279,7 @@ class CompiledProblem:
         s = ts.state_index[atom.second]
         if (s, e) in ts.delta:
             raise DomainMismatch(f"{atom.first!r} occurs at {atom.second!r}: not an atom")
-        return (_kernel.ESSP, e, s)
+        return (ESSP, e, s)
 
     def solve_index(
         self,
@@ -331,7 +334,7 @@ def _bits(mask: int):
 
 def _atom(ts: TransitionSystem, kind: int, a: int, b: int) -> SeparationAtom:
     """The named atom of kernel atom (kind, a, b)."""
-    if kind == _kernel.SSP:
+    if kind == SSP:
         return SeparationAtom("ssp", ts.states[a], ts.states[b])
     return SeparationAtom("essp", ts.events[a], ts.states[b])
 
@@ -383,12 +386,12 @@ def decide_property(
         for s, e in ts.delta:
             defined[e] |= 1 << s
         for e, dmask in enumerate(defined):
-            rows.append((_kernel.ESSP, e))
+            rows.append((ESSP, e))
             pending.append(full ^ dmask)
     first_ssp = len(rows)
     if prop != "essp":
         for i in range(n):
-            rows.append((_kernel.SSP, i))
+            rows.append((SSP, i))
             pending.append(full >> (i + 1) << (i + 1))
     n_rows = len(rows)
     regions: list[Region] = []
@@ -400,14 +403,14 @@ def decide_property(
             b = (todo & -todo).bit_length() - 1
             sup, sig, _ = problem.solve_index(kind, a, b, budget)
             if sup is None:
-                if prop == "both" and canonical_failure and kind == _kernel.ESSP:
+                if prop == "both" and canonical_failure and kind == ESSP:
                     # ssp atoms precede essp atoms canonically; report the
                     # first unsolvable one of them if any exists
                     for r2 in range(first_ssp, n_rows):
                         i = rows[r2][1]
                         for j in _bits(pending[r2]):
-                            if problem.solve_index(_kernel.SSP, i, j, budget)[0] is None:
-                                return _atom(ts, _kernel.SSP, i, j)
+                            if problem.solve_index(SSP, i, j, budget)[0] is None:
+                                return _atom(ts, SSP, i, j)
                 return _atom(ts, kind, a, b)
             regions.append(problem._region(sup, sig))
             supmask = 0

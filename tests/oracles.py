@@ -68,6 +68,13 @@ def flip_flop_ts(n_events):
     return bn.TransitionSystem.build(initial="s0", arcs=arcs)
 
 
+def long_run_ts(n):
+    """The cycle s0 -a-> s1 -a-> ... -a-> s<n> -b-> s0: one event with n
+    occurrences, so splitting it enumerates n occurrence slots."""
+    arcs = [(f"s{i}", "a", f"s{i + 1}") for i in range(n)] + [(f"s{n}", "b", "s0")]
+    return bn.TransitionSystem.build(initial="s0", arcs=arcs)
+
+
 def random_abab_ts(rng, max_states=12):
     """Random system containing the path s0 -a-> s1 -b-> s2 -a-> s3 -b-> s4.
 

@@ -111,6 +111,15 @@ def test_modify_negative_kappa_is_a_usage_error(files, capsys):
     assert "error:" in err and "--kappa" in err and "Traceback" not in err
 
 
+def test_modify_long_event_run_budget_exit(files, monkeypatch, capsys):
+    monkeypatch.setenv("BOOLNET_NODE_LIMIT", "10000")
+    path = files["dir"] / "run.ts"
+    path.write_text(bn.serialize_ts(oracles.long_run_ts(1200)), encoding="utf-8")
+    argv = ["modify", "--kind", "split", "--mode", "langsim", "--kappa", "3", "--type", "nop,inp,swap"]
+    assert run(argv + [str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_check_and_synth_budget_exit(files, monkeypatch):
     monkeypatch.setenv("BOOLNET_NODE_LIMIT", "1")
     chain = files["dir"] / "chain.ts"
@@ -156,6 +165,12 @@ def test_gadget_and_vc(files, capsys):
 def test_gadget_lambda_out_of_range(files, capsys):
     assert run(["gadget", "--problem", "edge", "--lambda", "9", str(files["graph"])]) == 2
     assert capsys.readouterr().err
+
+
+def test_vc_negative_lambda_is_a_usage_error(files, capsys):
+    assert run(["vc", "--lambda", "-1", str(files["graph"])]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "--lambda" in err and "Traceback" not in err
 
 
 def test_parse_error_exit(files, tmp_path, capsys):

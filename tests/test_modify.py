@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import boolnet as bn
+from boolnet.modify import _split_labels
 import oracles
 
 TAU_D = bn.BooleanType.of("nop", "inp", "swap")
@@ -330,6 +331,105 @@ def test_split_search_depth_does_not_grow_with_events():
     finally:
         sys.setrecursionlimit(old)
     assert plan is None
+
+
+def test_split_search_handles_long_event_runs():
+    # 1,200 occurrences of a: the group enumeration takes one slot per
+    # occurrence, so it must not recurse per occurrence
+    ts = oracles.long_run_ts(1200)
+    with pytest.raises(bn.SearchBudgetExceeded) as info:
+        bn.decide(ts, TAU_D, "split", "langsim", 3, node_limit=10_000)
+    assert info.value.nodes == 10_001
+
+
+def test_decide_stays_in_index_space(monkeypatch):
+    # the searches reach the solver only through solve_index and
+    # decide_property, and build their candidates without names
+    rng = random.Random(4242)
+    cases = []
+    for i in range(12):
+        ts = oracles.random_ts(rng, max_states=5, max_events=3)
+        tau = (TAU_D, TAU_B)[i % 2]
+        for kind in bn.KINDS:
+            base = len(ts.events) if kind == "split" else 0
+            for mode in bn.MODES:
+                for kappa in (base, base + 1, base + 2):
+                    cases.append((ts, tau, kind, mode, kappa))
+    want = [bn.decide(*case, node_limit=0) for case in cases]
+    assert any(plan is None for plan in want) and any(plan is not None for plan in want)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search left index space")
+
+    monkeypatch.setattr(bn.CompiledProblem, "solve", refuse)
+    monkeypatch.setattr(bn.TransitionSystem, "build", refuse)
+    assert [bn.decide(*case, node_limit=0) for case in cases] == want
+
+
+def _reference_split(ts, plan):
+    """apply_plan's result for a valid split plan, computed over names: the
+    system TransitionSystem.build makes of the relabelled named arcs."""
+    grp = [0] * len(ts.arcs)
+    groups_used = {}
+    for name, groups in plan.splits:
+        e = ts.event_index[name]
+        groups_used[e] = max(groups) + 1
+        for a, g in zip(ts.event_arcs[e], groups):
+            grp[a] = g
+    labels = _split_labels(ts, groups_used)
+    arcs = [
+        (ts.states[src], labels[(e, grp[a])], ts.states[dst])
+        for a, (src, e, dst) in enumerate(ts.arcs)
+    ]
+    return bn.TransitionSystem.build(initial=ts.initial_state, arcs=arcs, name=ts.name)
+
+
+def _random_split_plan(rng, ts):
+    """A valid split plan: a random subset of events, each with its
+    occurrences put into groups that leave none of 0..max empty."""
+    splits = []
+    for e in rng.sample(range(len(ts.events)), rng.randint(0, len(ts.events))):
+        n = len(ts.event_arcs[e])
+        groups = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+        used = sorted(set(groups))
+        rng.shuffle(used)
+        renumber = {g: i for i, g in enumerate(used)}
+        splits.append((ts.events[e], tuple(renumber[g] for g in groups)))
+    return bn.ModificationPlan(
+        kind="split", cost=bn.split_plan_cost(ts, dict(splits)), splits=tuple(splits)
+    )
+
+
+def test_apply_split_matches_name_level_reference():
+    rng = random.Random(6021)
+    reordered = 0
+    for trial in range(200):
+        ts = oracles.random_ts(rng, max_states=6, max_events=3)
+        if trial % 2:
+            # explicit state and event orders that are not first appearance,
+            # shuffled arcs, and at times a primed event name that a split
+            # label must skip
+            rename = {e: e for e in ts.events}
+            if len(ts.events) > 1 and rng.random() < 0.5:
+                rename[ts.events[1]] = ts.events[0] + "'"
+            arcs = [ts.arc_names(a) for a in range(len(ts.arcs))]
+            rng.shuffle(arcs)
+            states, events = list(ts.states), [rename[e] for e in ts.events]
+            rng.shuffle(states)
+            rng.shuffle(events)
+            ts = bn.TransitionSystem.build(
+                initial=ts.initial_state,
+                arcs=[(s, rename[e], d) for s, e, d in arcs],
+                states=states,
+                events=events,
+                name=f"t{trial}",
+            )
+        for _ in range(4):
+            plan = _random_split_plan(rng, ts)
+            got, want = bn.apply_plan(ts, plan), _reference_split(ts, plan)
+            assert got == want and got.name == want.name
+            reordered += got.states != ts.states
+    assert reordered
 
 
 def _reference_removal(ts, kind, items):
