@@ -48,34 +48,20 @@ the decision levels the dead end depended on (0 = none of them).
 
 from __future__ import annotations
 
+from .interactions import INTERACTIONS, INVERTIBLE, _APPLY, _UNAPPLY
+
 KERNEL_NAME = "py"
 
-# interaction ids in canonical tag order
-NOP, INP, OUT, SET, RES, SWAP, USED, FREE = range(8)
-
+# Both tables are indexed by interaction id (INTERACTIONS order) and derived
+# from the table in interactions.
 # APPLY[i][x]: image of place value x, -1 where undefined
-APPLY = (
-    (0, 1),    # nop
-    (-1, 0),   # inp
-    (1, -1),   # out
-    (1, 1),    # set
-    (0, 0),    # res
-    (1, 0),    # swap
-    (-1, 1),   # used
-    (0, -1),   # free
-)
+APPLY = tuple(tuple(-1 if y is None else y for y in _APPLY[t]) for t in INTERACTIONS)
 
 # BACK[i][y]: forced source value given result y; -1 = contradiction,
 # -2 = no backward handling (set/res)
-BACK = (
-    (0, 1),     # nop
-    (1, -1),    # inp
-    (-1, 0),    # out
-    (-2, -2),   # set
-    (-2, -2),   # res
-    (1, 0),     # swap
-    (-1, 1),    # used
-    (0, -1),    # free
+BACK = tuple(
+    tuple(-1 if x is None else x for x in _UNAPPLY[t]) if t in INVERTIBLE else (-2, -2)
+    for t in INTERACTIONS
 )
 
 SSP, ESSP = 0, 1

@@ -100,6 +100,8 @@ def parse_graph(text: str) -> Graph3B:
         if parts[0] == "graph":
             if len(parts) != 2:
                 raise ParseError(f"line {no}: expected `graph <name>`")
+            if name is not None:
+                raise ParseError(f"line {no}: duplicate graph declaration")
             name = parts[1]
         elif parts[0] == "vertex":
             if len(parts) != 2:

@@ -76,9 +76,6 @@ class ModificationPlan:
         if self.kind not in KINDS:
             raise ParseError(f"unknown plan kind {self.kind!r}")
 
-    def split_map(self) -> dict[str, tuple[int, ...]]:
-        return dict(self.splits)
-
     def is_noop(self) -> bool:
         return not (self.splits or self.edges or self.events or self.states)
 

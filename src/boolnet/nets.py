@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError, PlaceBoundExceeded, UnknownTransition
 from .interactions import BooleanType, apply_interaction, check_tag
-from .ts import TransitionSystem
+from .ts import TransitionSystem, _check_ident, _dot_quote
 
 # Marking tuples stay cheap well past a hundred places; the bound exists to
 # reject inputs so wide that no marking-space exploration could finish anyway.
@@ -101,9 +101,10 @@ def fire(net: BooleanNet, m: Marking | tuple[int, ...], t: str) -> Marking | Non
 def reachability_graph(net: BooleanNet) -> TransitionSystem:
     """Explore all markings reachable from m0 and return them as a TS.
 
-    State names are the parenthesized bit tuples in place order.  Transitions
-    that never fire are dropped from the event alphabet (with a warning) so
-    the result satisfies the no-useless-event invariant.
+    State i is the i-th marking in breadth-first order, named by its
+    parenthesized bit tuple in place order.  Transitions that never fire are
+    dropped from the event alphabet (with a warning) so the result satisfies
+    the no-useless-event invariant.  The system is built from index arcs.
 
     Markings are explored as integer bitmasks (place k = bit k): a transition
     is enabled iff every 0-place lies in its defined-at-0 set and every
@@ -131,7 +132,7 @@ def reachability_graph(net: BooleanNet) -> TransitionSystem:
                 d1 |= 1 << k
                 if img1:
                     a1 |= 1 << k
-        rows.append((t, d0, d1, a0, a1))
+        rows.append((d0, d1, a0, a1))
 
     def text(m: int) -> str:
         return "(" + ",".join(str((m >> k) & 1) for k in range(n)) + ")"
@@ -140,33 +141,37 @@ def reachability_graph(net: BooleanNet) -> TransitionSystem:
     for k, b in enumerate(net.m0):
         if b:
             m0 |= 1 << k
-    seen = {m0: text(m0)}
+    index = {m0: 0}
     order = [m0]
-    arcs: list[tuple[str, str, str]] = []
-    fired: set[str] = set()
-    i = 0
-    while i < len(order):
-        m = order[i]
-        src = seen[m]
-        i += 1
-        for t, d0, d1, a0, a1 in rows:
+    arcs: list[tuple[int, int, int]] = []
+    fired = [False] * len(rows)
+    for i, m in enumerate(order):
+        for k, (d0, d1, a0, a1) in enumerate(rows):
             if (~m & full & ~d0) or (m & ~d1):
                 continue
             m2 = (~m & a0) | (m & a1)
-            fired.add(t)
-            if m2 not in seen:
-                seen[m2] = text(m2)
+            fired[k] = True
+            j = index.get(m2)
+            if j is None:
+                j = index[m2] = len(order)
                 order.append(m2)
-            arcs.append((src, t, seen[m2]))
-    dead = [t for t in net.transitions if t not in fired]
+            arcs.append((i, k, j))
+    dead = [t for t, f in zip(net.transitions, fired) if not f]
     if dead:
         warnings.warn(f"dropping dead transitions from reachability graph: {', '.join(dead)}")
-    return TransitionSystem.build(
-        initial=seen[m0],
-        arcs=arcs,
-        states=tuple(seen[m] for m in order),
-        events=tuple(t for t in net.transitions if t in fired),
-        name=(net.name + "-rg") if net.name else None,
+    live = [k for k, f in enumerate(fired) if f]
+    event_of = {k: e for e, k in enumerate(live)}
+    events = tuple(_check_ident(net.transitions[k], "event") for k in live)
+    # Nothing is left for TransitionSystem.build to check: the BFS reaches
+    # every state, every kept event fired, each (marking, transition) pair
+    # gives at most one arc, and marking texts are in the identifier class.
+    # Transition names come unchecked from the net, so they are checked here.
+    return TransitionSystem(
+        (net.name + "-rg") if net.name else None,
+        tuple(text(m) for m in order),
+        events,
+        0,
+        tuple((s, event_of[k], d) for s, k, d in arcs),
     )
 
 
@@ -195,10 +200,14 @@ def parse_net(text: str, strict: bool = False) -> BooleanNet:
         if kw == "net":
             if len(parts) != 2:
                 raise ParseError(f"line {no}: expected `net <name>`")
+            if name is not None:
+                raise ParseError(f"line {no}: duplicate net declaration")
             name = parts[1]
         elif kw == "type":
             if len(parts) < 2:
                 raise ParseError(f"line {no}: expected `type <tags>`")
+            if tau is not None:
+                raise ParseError(f"line {no}: duplicate type declaration")
             tau = BooleanType.parse(" ".join(parts[1:]))
         elif kw == "place":
             if len(parts) != 3 or parts[2] not in ("0", "1"):
@@ -243,23 +252,19 @@ def serialize_net(net: BooleanNet) -> str:
     return "\n".join(out) + "\n"
 
 
-def _q(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
 def net_to_dot(net: BooleanNet) -> str:
     """Bipartite DOT rendering; nop couplings are omitted as visual no-ops."""
     lines = ["digraph net {", "  rankdir=LR;"]
     for p, b in zip(net.places, net.m0):
         label = f"{p} [1]" if b else p
-        lines.append(f"  {_q(p)} [shape=circle, label={_q(label)}];")
+        lines.append(f"  {_dot_quote(p)} [shape=circle, label={_dot_quote(label)}];")
     for t in net.transitions:
-        lines.append(f"  {_q(t)} [shape=box];")
+        lines.append(f"  {_dot_quote(t)} [shape=box];")
     for p in net.places:
         for t in net.transitions:
             tag = net.flow[(p, t)]
             if tag == "nop":
                 continue
-            lines.append(f"  {_q(p)} -> {_q(t)} [label={_q(tag)}, dir=none];")
+            lines.append(f"  {_dot_quote(p)} -> {_dot_quote(t)} [label={_dot_quote(tag)}, dir=none];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -116,13 +116,9 @@ class Witness:
 
     __slots__ = ("regions", "_coverage", "_retired")
 
-    def __init__(
-        self,
-        regions: list[Region] | None = None,
-        coverage: dict[SeparationAtom, int] | None = None,
-    ):
+    def __init__(self, regions: list[Region] | None = None):
         self.regions = [] if regions is None else regions
-        self._coverage = {} if coverage is None else coverage
+        self._coverage: dict[SeparationAtom, int] = {}
         self._retired = None  # (ts, rows, per-region retired masks) until read
 
     @property
@@ -136,11 +132,6 @@ class Witness:
                     for b in _bits(mask):
                         self._coverage[_atom(ts, kind, a, b)] = idx
         return self._coverage
-
-    @coverage.setter
-    def coverage(self, value: dict[SeparationAtom, int]) -> None:
-        self._retired = None
-        self._coverage = value
 
     def __eq__(self, other):
         if not isinstance(other, Witness):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     EventSetMismatch,
@@ -106,43 +106,28 @@ class TransitionSystem:
         arcs = [tuple(a) for a in arcs]
         if initial is None:
             raise NoInitial()
-        state_list: list[str] = []
-        seen: set[str] = set()
-
-        def note_state(s: str) -> None:
-            if s not in seen:
-                seen.add(s)
-                state_list.append(_check_ident(s, "state"))
-
-        event_list: list[str] = []
-        seen_e: set[str] = set()
-
-        def note_event(e: str) -> None:
-            if e not in seen_e:
-                seen_e.add(e)
-                event_list.append(_check_ident(e, "event"))
-
+        sx: dict[str, int] = {}
         if states is not None:
             for s in states:
-                if s in seen:
+                if s in sx:
                     raise ParseError(f"duplicate state {s!r}")
-                note_state(s)
+                sx[_check_ident(s, "state")] = len(sx)
         else:
-            note_state(initial)
+            sx[_check_ident(initial, "state")] = 0
+        ex: dict[str, int] = {}
         if events is not None:
             for e in events:
-                if e in seen_e:
+                if e in ex:
                     raise ParseError(f"duplicate event {e!r}")
-                note_event(e)
+                ex[_check_ident(e, "event")] = len(ex)
         for src, ev, dst in arcs:
             if states is None:
-                note_state(src)
-                note_state(dst)
-            if events is None:
-                note_event(ev)
+                for s in (src, dst):
+                    if s not in sx:
+                        sx[_check_ident(s, "state")] = len(sx)
+            if events is None and ev not in ex:
+                ex[_check_ident(ev, "event")] = len(ex)
 
-        sx = {s: i for i, s in enumerate(state_list)}
-        ex = {e: i for i, e in enumerate(event_list)}
         if initial not in sx:
             raise UnknownId(initial, "initial state")
         idx_arcs = []
@@ -155,7 +140,7 @@ class TransitionSystem:
                 raise UnknownId(ev, "arc event")
             idx_arcs.append((sx[src], ex[ev], sx[dst]))
 
-        ts = cls(name, tuple(state_list), tuple(event_list), sx[initial], tuple(idx_arcs))
+        ts = cls(name, tuple(sx), tuple(ex), sx[initial], tuple(idx_arcs))
         if not relaxed:
             ts._validate()
         return ts
@@ -243,6 +228,8 @@ def parse_ts(text: str) -> TransitionSystem:
         if kw == "ts":
             if len(parts) != 2:
                 raise ParseError(f"line {no}: expected `ts <name>`")
+            if name is not None:
+                raise ParseError(f"line {no}: duplicate ts declaration")
             name = parts[1]
         elif kw == "initial":
             if len(parts) != 2:
@@ -293,29 +280,34 @@ def ts_to_dot(ts: TransitionSystem) -> str:
 
 @dataclass
 class SimulationMap:
-    """A state map from one system into another, event-preserving by build."""
+    """A state map from one system into another, event-preserving by build.
+
+    phi maps source state indices to target state indices, in the order the
+    induced map found them; mapping is its name view, built when read.
+    """
 
     source: TransitionSystem
     target: TransitionSystem
-    mapping: dict[str, str] = field(default_factory=dict)
+    phi: dict[int, int]
+
+    @property
+    def mapping(self) -> dict[str, str]:
+        src, dst = self.source.states, self.target.states
+        return {src[s]: dst[t] for s, t in self.phi.items()}
 
     def is_injective(self) -> bool:
-        return len(set(self.mapping.values())) == len(self.mapping)
+        return len(set(self.phi.values())) == len(self.phi)
 
     def is_surjective(self) -> bool:
-        return set(self.mapping.values()) == set(self.target.states)
+        return len(set(self.phi.values())) == len(self.target.states)
 
     def reflects_events(self) -> bool:
         """True when every event enabled at an image state is enabled at the
-        source state as well."""
-        for s in self.source.states:
-            t = self.mapping[s]
-            ti = self.target.state_index[t]
-            for a in self.target.out_arcs[ti]:
-                ev = self.target.events[self.target.arcs[a][1]]
-                if not self.source.has_arc(s, ev):
-                    return False
-        return True
+        source state as well.  The map carries each arc of s to an arc of
+        phi(s) with its event, and both systems are deterministic, so this
+        holds exactly when phi(s) has as many out-arcs as s."""
+        src, dst = self.source.out_arcs, self.target.out_arcs
+        return all(len(dst[t]) == len(src[s]) for s, t in self.phi.items())
 
 
 def induced_simulation(a: TransitionSystem, b: TransitionSystem) -> SimulationMap | None:
@@ -331,25 +323,24 @@ def induced_simulation(a: TransitionSystem, b: TransitionSystem) -> SimulationMa
         raise EventSetMismatch(
             f"source uses events missing from target: {sorted(set(a.events) - set(b.events))}"
         )
-    mapping_idx: dict[int, int] = {a.initial: b.initial}
+    ev_map = [b.event_index[e] for e in a.events]
+    phi: dict[int, int] = {a.initial: b.initial}
     frontier = deque([a.initial])
     while frontier:
         s = frontier.popleft()
-        t = mapping_idx[s]
+        t = phi[s]
         for arc in a.out_arcs[s]:
             _, ev, dst = a.arcs[arc]
-            bev = b.event_index[a.events[ev]]
-            tdst = b.delta.get((t, bev))
+            tdst = b.delta.get((t, ev_map[ev]))
             if tdst is None:
                 return None
-            known = mapping_idx.get(dst)
+            known = phi.get(dst)
             if known is None:
-                mapping_idx[dst] = tdst
+                phi[dst] = tdst
                 frontier.append(dst)
             elif known != tdst:
                 return None
-    mapping = {a.states[s]: b.states[t] for s, t in mapping_idx.items()}
-    return SimulationMap(source=a, target=b, mapping=mapping)
+    return SimulationMap(source=a, target=b, phi=phi)
 
 
 MODES = ("embed", "langsim", "realize")

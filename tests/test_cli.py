@@ -1,6 +1,10 @@
 """Command-line behavior: exit codes and artifact formats."""
 
+import random
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import boolnet as bn
 from boolnet.cli import run
@@ -197,3 +201,63 @@ def test_fixtures_command(capsys):
     assert run(["fixtures"]) == 0
     out = capsys.readouterr().out
     assert "R_0" in out and "R_3" in out
+
+
+def test_simulate_repeated_type_line_is_a_parse_error(tmp_path, capsys):
+    net = tmp_path / "two-types.net"
+    net.write_text("type nop,inp\ntype set\nplace p 0\ntrans t\nflow p t set\n", encoding="utf-8")
+    assert run(["simulate", str(net)]) == 2
+    err = capsys.readouterr().err
+    assert "line 2: duplicate type declaration" in err and "Traceback" not in err
+
+
+# One list per file format of directives with the words each argument is
+# drawn from; repeats weight the draw, and the first entry opens most
+# files.  _ODD holds words that are wrong anywhere or almost anywhere: a
+# comment mark, glyphs of generated names, a non-ASCII letter, a bad digit.
+_S, _P, _T, _V = ("s0", "s1", "s2"), ("p", "q"), ("t", "u"), ("v", "w", "x", "y")
+_TAGS = ("nop", "inp", "out", "set", "res", "swap", "used", "free")
+_FORMATS = (
+    [("initial", [("s0", "s1")])] + [("arc", [_S, ("a", "b"), _S])] * 4 + [("ts", [("A", "B")])],
+    [("type", [("nop,inp,swap", "nop,set,res", "swap,used")])]
+    + [("place", [_P, ("0", "1")]), ("trans", [_T])] * 2
+    + [("flow", [_P, _T, _TAGS]), ("net", [("N", "M")])],
+    [("edge", [_V, _V])] * 4 + [("vertex", [_V]), ("graph", [("G", "H")])],
+)
+_ODD = ("#", "⊥", "ι", "(", ",", "é", "2")
+_ARGVS = (
+    ["check", "--prop", "both", "--type", "nop,inp,swap"],
+    ["synth", "--mode", "realize", "--type", "nop,set,swap"],
+    ["synth", "--mode", "embed", "--type", "nop,inp,out"],
+    ["simulate"],
+    ["modify", "--kind", "split", "--mode", "langsim", "--kappa", "2", "--type", "nop,inp,swap"],
+    ["modify", "--kind", "edge", "--mode", "embed", "--kappa", "1", "--type", "nop,swap,used"],
+    ["gadget", "--problem", "split", "--lambda", "1"],
+    ["vc", "--lambda", "1"],
+)
+
+
+def _cli_text(rng):
+    grammar = rng.choice(_FORMATS)
+    lines = []
+    for k in range(rng.randint(1, 7)):
+        kw, pools = grammar[0] if k == 0 and rng.random() < 0.8 else rng.choice(grammar)
+        words = [kw] + [rng.choice(pool) for pool in pools]
+        flaw = rng.random()
+        if flaw < 0.04:
+            words.insert(rng.randint(0, len(words)), rng.choice(_ODD))
+        elif flaw < 0.08:
+            words.pop()
+        lines.append(" ".join(words))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_cli_never_ends_in_a_traceback(tmp_path, monkeypatch, capsys, seed):
+    monkeypatch.setenv("BOOLNET_NODE_LIMIT", "300")
+    path = tmp_path / "fuzz.in"
+    path.write_text(_cli_text(random.Random(seed)), encoding="utf-8")
+    for argv in _ARGVS:
+        assert run(argv + [str(path)]) in (0, 1, 2, 3)
+    capsys.readouterr()

@@ -54,6 +54,11 @@ def test_parse_graph_rejects_junk():
         bn.parse_graph("vertex a\nwibble")
 
 
+def test_parse_graph_rejects_repeated_graph_line():
+    with pytest.raises(bn.ParseError, match="line 3: duplicate graph declaration"):
+        bn.parse_graph("graph g\nedge a b\ngraph h\n")
+
+
 def test_brute_force_vc_goldens():
     g = worked_graph()
     assert bn.brute_force_vc(g, 0) is None

@@ -158,3 +158,71 @@ def test_dot_output_smoke():
     dot = bn.net_to_dot(walkthrough_net())
     assert dot.startswith("digraph")
     assert "R1" in dot and "a'" in dot
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("type nop,inp\ntype set\nplace p 0\ntrans t\nflow p t set\n", "line 2: duplicate type"),
+        ("net a\ntype nop\nnet b\nplace p 0\n", "line 3: duplicate net"),
+    ],
+    ids=["type", "net"],
+)
+def test_parse_rejects_repeated_header_line(text, line):
+    with pytest.raises(bn.ParseError, match=line):
+        bn.parse_net(text)
+
+
+def _name_level_reachability_graph(net):
+    """The reachability graph as TransitionSystem.build of named arcs, the way
+    reachability_graph built it before it worked in indices."""
+    m0 = net.initial_marking()
+    order, seen, arcs = [m0], {m0}, []
+    for m in order:
+        for t in net.transitions:
+            m2 = net.fire(m, t)
+            if m2 is None:
+                continue
+            if m2 not in seen:
+                seen.add(m2)
+                order.append(m2)
+            arcs.append((m.text(), t, m2.text()))
+    fired = {t for _, t, _ in arcs}
+    return bn.TransitionSystem.build(
+        initial=m0.text(),
+        arcs=arcs,
+        states=tuple(m.text() for m in order),
+        events=tuple(t for t in net.transitions if t in fired),
+        name=(net.name + "-rg") if net.name else None,
+    )
+
+
+def test_reachability_graph_matches_name_level_build():
+    rng = random.Random(2718)
+    nets = [bn.BooleanNet("empty", TAU, (), ("t", "u"), {}, ())]
+    for k in range(300):
+        net = oracles.random_net(rng, max_places=5, max_transitions=4)
+        if k % 2:
+            net = bn.BooleanNet("n%d" % k, net.tau, net.places, net.transitions, net.flow, net.m0)
+        nets.append(net)
+    with_dead = 0
+    for net in nets:
+        want = _name_level_reachability_graph(net)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rg = bn.reachability_graph(net)
+        assert rg == want and rg.name == want.name
+        dead = len(want.events) < len(net.transitions)
+        assert bool(caught) == dead
+        with_dead += dead
+    assert with_dead >= 30
+
+
+def test_reachability_graph_checks_live_transition_names():
+    live = bn.BooleanNet(None, TAU, ("p",), ("é",), {}, (0,))
+    for build in (bn.reachability_graph, _name_level_reachability_graph):
+        with pytest.raises(bn.ParseError, match="bad event name"):
+            build(live)
+    dead = bn.BooleanNet(None, TAU, ("p",), ("ok", "é"), {("p", "é"): "inp"}, (0,))
+    with pytest.warns(UserWarning, match="dead"):
+        assert bn.reachability_graph(dead) == _name_level_reachability_graph(dead)

@@ -1,6 +1,7 @@
 """Net synthesis and implementation verification."""
 
 import random
+import warnings
 
 import pytest
 
@@ -117,8 +118,6 @@ def test_reachability_graphs_synthesize_back():
     done = 0
     for _ in range(40):
         net = oracles.random_net(rng, tau=TAU, max_places=3, max_transitions=2)
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             rg = bn.reachability_graph(net)
@@ -134,3 +133,44 @@ def test_reachability_graphs_synthesize_back():
 def test_synthesize_rejects_unknown_mode():
     with pytest.raises(ValueError):
         bn.synthesize(splittable(), TAU, "perform")
+
+
+def test_synthesis_check_stays_in_index_space(monkeypatch):
+    # the check after synthesis builds the reachability graph from index
+    # arcs and compares systems on the index map, so it never interns names
+    # through TransitionSystem.build nor looks arcs up by name
+    rng = random.Random(7723)
+    taus = [TAU, bn.BooleanType.of("nop", "set", "swap"), bn.BooleanType.of("nop", "inp", "res", "used")]
+    corpus = [oracles.random_ts(rng, max_states=5, max_events=3) for _ in range(25)]
+    corpus += [splittable()]
+    # reachability graphs realize under their own type
+    while len(corpus) < 36:
+        net = oracles.random_net(rng, tau=TAU, max_places=3, max_transitions=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rg = bn.reachability_graph(net)
+        if rg.events:
+            corpus.append(rg)
+
+    def outcomes():
+        out = []
+        for ts in corpus:
+            for tau in taus:
+                for mode in bn.MODES:
+                    res = bn.synthesize(ts, tau, mode)
+                    if isinstance(res, bn.SynthesisResult):
+                        out.append((bn.serialize_net(res.net), res.witness, res.verified))
+                    else:
+                        out.append(res)
+        return out
+
+    want = outcomes()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("name-level call in the synthesis check")
+
+    monkeypatch.setattr(bn.TransitionSystem, "build", forbidden)
+    monkeypatch.setattr(bn.TransitionSystem, "has_arc", forbidden)
+    assert outcomes() == want
+    per_mode = [sum(isinstance(r, tuple) for r in want[k::3]) for k in range(3)]
+    assert min(per_mode) >= 10, per_mode

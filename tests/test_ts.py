@@ -204,3 +204,96 @@ def test_check_relation_rejects_unknown_mode():
 
 def test_modes_constant():
     assert bn.MODES == ("embed", "langsim", "realize")
+
+
+def test_parse_rejects_repeated_ts_line():
+    with pytest.raises(bn.ParseError, match="line 2: duplicate ts declaration"):
+        bn.parse_ts("ts a\nts b\ninitial s0\narc s0 x s0\n")
+
+
+def _name_level_predicates(a, b, mapping):
+    """The simulation predicates as they were computed on the name-keyed map:
+    (injective, surjective, reflects events)."""
+    injective = len(set(mapping.values())) == len(mapping)
+    surjective = set(mapping.values()) == set(b.states)
+    reflects = all(
+        a.has_arc(s, b.events[b.arcs[x][1]])
+        for s in a.states
+        for x in b.out_arcs[b.state_index[mapping[s]]]
+    )
+    return injective, surjective, reflects
+
+
+def _unfolding(rng, b, max_states=6):
+    """A random system a whose induced map into b exists: each state of a
+    copies a state of b, keeps a random subset of its arcs, and sends each
+    kept arc to a new or an existing copy of the arc's target.  Copies make
+    the map non-injective, dropped arcs make it non-reflecting, and unreached
+    states of b leave it non-surjective."""
+    copies = {b.initial: ["c0"]}
+    image = {"c0": b.initial}
+    arcs = []
+    frontier = ["c0"]
+    while frontier:
+        s = frontier.pop(0)
+        for x in b.out_arcs[image[s]]:
+            _, ev, dst = b.arcs[x]
+            if rng.random() < 0.25:
+                continue
+            known = copies.setdefault(dst, [])
+            if known and (len(image) >= max_states or rng.random() < 0.6):
+                d = rng.choice(known)
+            else:
+                d = "c%d" % len(image)
+                image[d] = dst
+                known.append(d)
+                frontier.append(d)
+            arcs.append((s, b.events[ev], d))
+    return bn.TransitionSystem.build(initial="c0", arcs=arcs) if arcs else None
+
+
+def test_simulation_map_matches_name_level_reference():
+    rng = random.Random(4242)
+    seen = {"none": 0, "not injective": 0, "not reflecting": 0, "not surjective": 0, "iso": 0}
+    for trial in range(400):
+        b = oracles.random_ts(rng, max_states=5, max_events=3)
+        if trial % 4 == 0:
+            a = oracles.random_ts(rng, max_states=5, max_events=3)
+        else:
+            a = _unfolding(rng, b)
+        if a is None or set(a.events) != set(b.events):
+            continue
+        sims = oracles.all_simulations(a, b)
+        phi = bn.induced_simulation(a, b)
+        if phi is None:
+            assert sims == []
+            seen["none"] += 1
+            want = {mode: False for mode in bn.MODES}
+        else:
+            mapping = {a.states[s]: b.states[t] for s, t in enumerate(sims[0])}
+            assert phi.source is a and phi.target is b
+            assert phi.mapping == mapping
+            injective, surjective, reflects = _name_level_predicates(a, b, mapping)
+            assert phi.is_injective() == injective
+            assert phi.is_surjective() == surjective
+            assert phi.reflects_events() == reflects
+            seen["not injective"] += not injective
+            seen["not reflecting"] += not reflects
+            seen["not surjective"] += not surjective
+            seen["iso"] += injective and reflects and surjective
+            want = {
+                "embed": injective,
+                "langsim": reflects,
+                "realize": injective and reflects and surjective,
+            }
+        for mode in bn.MODES:
+            assert bn.check_relation(a, b, mode) == want[mode]
+    assert min(seen.values()) >= 10, seen
+
+
+def test_reflects_events_is_false_for_target_only_events():
+    a = chain("a")
+    b = bn.TransitionSystem.build(initial="s0", arcs=[("s0", "a", "s1"), ("s1", "b", "s0")])
+    phi = bn.induced_simulation(a, b)
+    assert phi.is_injective() and phi.is_surjective()
+    assert not phi.reflects_events()
