@@ -14,16 +14,25 @@ Both searches stay exact; all pruning below is refutation-based
 certificates for removals) and never skips a potentially satisfiable
 candidate.
 
-The searches work in integer indices from the input system to the solver,
-which they reach only through solve_index and decide_property.  Names appear
-only in the plans they return and in decide_property's failure atom, which
-they turn into indices once.  Candidates are built straight from index
-arcs: a split candidate from the group of each arc, a removal candidate
-from the surviving arcs.  Removal items are data: each removable edge,
-event or state is its arc mask plus the bit of the state or event it takes
-with it, so the three removal kinds differ only in their item list, and
-apply_plan and the removal search share one validity screen over those
-masks.
+The searches work in integer indices from the input system to the solver.
+Candidates are index arcs: a split candidate is the input's arcs with the
+group of each arc as its label (the state order, the arc endpoints and a
+BFS tree over them are computed once per search), a removal candidate the
+surviving arcs.  Each candidate is asked two questions through one check
+(_check): refute(kind, a, b), the refutation core of one atom or None, and
+first_failure(prop), the first unsolvable atom in decide_property's order
+with its core, or None.  For a linear type (nop and swap plus any of inp,
+out, used, free; see boolnet.linear) the check is GF(2) elimination: no
+TransitionSystem is built, the kernel is never called, and each question
+charges one node.  The core then comes from the refutation itself.  For any
+other type the check builds the candidate's TransitionSystem and asks the
+kernel: refute is one solve_index call, first_failure is decide_property
+plus, when the removal search wants a core, a second solve of the failure
+atom.  Names appear only in the plans the searches return.  Removal items
+are data: each removable edge, event or state is its arc mask plus the bit
+of the state or event it takes with it, so the three removal kinds differ
+only in their item list, and apply_plan and the removal search share one
+validity screen over those masks.
 """
 
 from __future__ import annotations
@@ -33,12 +42,12 @@ from dataclasses import dataclass
 
 from .errors import InvalidPlan, ParseError, UnknownId
 from .interactions import BooleanType
+from .linear import LinearProblem, is_linear, spanning_tree
 from .regions import (
     ESSP,
     SSP,
     CompiledProblem,
     NodeBudget,
-    SeparationAtom,
     Witness,
     decide_property,
     property_for_mode,
@@ -142,26 +151,33 @@ def _apply_split(ts: TransitionSystem, plan: ModificationPlan) -> TransitionSyst
         groups_used[e] = top + 1
         for pos, g in enumerate(groups):
             grp[occ[pos]] = g
-    return _split_system(ts, grp, groups_used, ts.name)[0]
-
-
-def _split_system(ts: TransitionSystem, grp: list[int], groups_used: dict[int, int], name=None):
-    """The system with arc a relabelled to group grp[a] of its event, built
-    from its index arcs, and the candidate event index of each (event index,
-    group).  The order is the one TransitionSystem.build gives the named
-    arcs: states by first appearance (the initial state, then each arc's
-    source and target), events by first appearance of their label."""
+    order, base = _split_frame(ts)
+    arcs, event_at = _split_arcs(base, grp)
     labels = _split_labels(ts, groups_used)
-    state_at = {ts.initial: 0}
-    event_at: dict[tuple[int, int], int] = {}
-    arcs = []
-    for a, (src, e, dst) in enumerate(ts.arcs):
-        s = state_at.setdefault(src, len(state_at))
-        d = state_at.setdefault(dst, len(state_at))
-        arcs.append((s, event_at.setdefault((e, grp[a]), len(event_at)), d))
-    states = tuple(ts.states[s] for s in state_at)
     events = tuple(labels[eg] for eg in event_at)
-    return TransitionSystem(name, states, events, 0, tuple(arcs)), event_at
+    return TransitionSystem(ts.name, tuple(ts.states[s] for s in order), events, 0, tuple(arcs))
+
+
+def _split_frame(ts: TransitionSystem) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """What every split candidate of ts shares: its state order, as the
+    original index of each candidate state, and the arcs with candidate
+    states and original events.  The order is the one TransitionSystem.build
+    gives the named arcs: states by first appearance (the initial state,
+    then each arc's source and target)."""
+    state_at = {ts.initial: 0}
+    for src, _, dst in ts.arcs:
+        state_at.setdefault(src, len(state_at))
+        state_at.setdefault(dst, len(state_at))
+    return list(state_at), [(state_at[src], e, state_at[dst]) for src, e, dst in ts.arcs]
+
+
+def _split_arcs(base, grp: list[int]):
+    """The candidate's index arcs, with arc a relabelled to group grp[a] of
+    its event, and the candidate event index of each (event index, group):
+    events by first appearance of their label."""
+    event_at: dict[tuple[int, int], int] = {}
+    arcs = [(s, event_at.setdefault((e, grp[a]), len(event_at)), d) for a, (s, e, d) in enumerate(base)]
+    return arcs, event_at
 
 
 def _removal_items(ts: TransitionSystem, kind: str) -> list[tuple]:
@@ -206,7 +222,9 @@ def _apply_removal(ts: TransitionSystem, plan: ModificationPlan) -> TransitionSy
     s = _unreached_state(ts, removed_mask, gone_states)
     if s >= 0:
         raise InvalidPlan("unreachable-state", ts.states[s])
-    return _restrict(ts, removed_mask, gone_states, gone_events, ts.name)[0]
+    states, events, _, initial, arcs = _restrict(ts, removed_mask, gone_states, gone_events)
+    names = tuple(ts.states[s] for s in states), tuple(ts.events[e] for e in events)
+    return TransitionSystem(ts.name, *names, initial, tuple(arcs))
 
 
 def _dead_event(event_masks: list[int], removed_mask: int, gone_events: int) -> int:
@@ -234,11 +252,11 @@ def _unreached_state(ts: TransitionSystem, removed_mask: int, gone_states: int) 
     return (missing & -missing).bit_length() - 1
 
 
-def _restrict(ts: TransitionSystem, removed_mask: int, gone_states: int, gone_events: int, name):
-    """The system without the removed arcs and gone states and events, built
-    from its index arcs, and the original index of each surviving arc, state
-    and event.  Validity is the caller's business: see _dead_event and
-    _unreached_state."""
+def _restrict(ts: TransitionSystem, removed_mask: int, gone_states: int, gone_events: int):
+    """The system without the removed arcs and gone states and events, in
+    indices: the original index of each surviving state, event and arc, the
+    new initial state, and the surviving arcs in new indices.  Validity is
+    the caller's business: see _dead_event and _unreached_state."""
     states = [s for s in range(len(ts.states)) if not (gone_states >> s) & 1]
     events = [e for e in range(len(ts.events)) if not (gone_events >> e) & 1]
     origin = [a for a in range(len(ts.arcs)) if not (removed_mask >> a) & 1]
@@ -248,14 +266,7 @@ def _restrict(ts: TransitionSystem, removed_mask: int, gone_states: int, gone_ev
     for a in origin:
         src, e, dst = ts.arcs[a]
         arcs.append((state_at[src], event_at[e], state_at[dst]))
-    restricted = TransitionSystem(
-        name,
-        tuple(ts.states[s] for s in states),
-        tuple(ts.events[e] for e in events),
-        state_at[ts.initial],
-        tuple(arcs),
-    )
-    return restricted, origin, states, events
+    return states, events, origin, state_at[ts.initial], arcs
 
 
 # -- plan dump ------------------------------------------------------------------
@@ -374,7 +385,9 @@ def decide_fast_path(
     (state removal).  Everything else falls through to the exact search.
 
     Event removal always falls through: no polynomial characterization is
-    claimed for it even at τ={nop,swap}.
+    claimed for it even at τ={nop,swap}.  The state-pair check of realize
+    goes through the candidate check (_check), so {nop,swap} gets it by
+    elimination.
     """
     fall = FastPathResult("fall-through")
     if kind not in KINDS:
@@ -393,9 +406,9 @@ def decide_fast_path(
         if not _every_event_everywhere(ts):
             return FastPathResult("no", reason="an event is missing at some state")
         if mode == "realize":
-            ssp = decide_property(ts, tau, "ssp", budget)
-            if isinstance(ssp, SeparationAtom):
-                return FastPathResult("no", reason=f"state pair {ssp} not separable")
+            pair = _inseparable_pair(ts, tau, budget)
+            if pair:
+                return FastPathResult("no", reason=f"state pair {pair} not separable")
         cost = len(ts.events) if kind == "split" else 0
         return FastPathResult("yes", plan=ModificationPlan(kind=kind, cost=cost))
 
@@ -409,11 +422,64 @@ def decide_fast_path(
     if not _every_event_everywhere(ts):
         return FastPathResult("no", reason="initial state cannot keep all events")
     if mode == "realize":
-        ssp = decide_property(ts, tau, "ssp", budget)
-        if isinstance(ssp, SeparationAtom):
+        pair = _inseparable_pair(ts, tau, budget)
+        if pair:
             # every state must be kept, so an unsolvable pair is final
-            return FastPathResult("no", reason=f"state pair {ssp} not separable")
+            return FastPathResult("no", reason=f"state pair {pair} not separable")
     return FastPathResult("yes", plan=ModificationPlan(kind="state", cost=0))
+
+
+def _inseparable_pair(ts: TransitionSystem, tau: BooleanType, budget) -> str:
+    """The first state pair of ts no region separates, as text, or ""."""
+    failure = _check(tau, budget, False, ts.states, ts.events, ts.initial, ts.arcs).first_failure("ssp")
+    return "" if failure is None else f"({ts.states[failure[1]]},{ts.states[failure[2]]})"
+
+
+# -- candidate checks ----------------------------------------------------------------
+
+
+def _check(tau, budget, cores, states, events, initial, arcs, tree=None):
+    """The candidate check for the system with these state and event names
+    and index arcs: a LinearProblem when tau is linear, else the kernel.
+
+    Both answer refute(kind, a, b), the core of an unsolvable atom as a
+    bitmask over the arcs or None when a region solves it, and
+    first_failure(prop), (kind, a, b, core) of the first unsolvable atom in
+    decide_property's order or None.  The core is 0 unless cores is set.
+    tree is linear.spanning_tree of the arcs, when the caller has it.
+    """
+    if is_linear(tau):
+        return LinearProblem(len(states), len(events), initial, arcs, tau, budget, cores, tree)
+    return _KernelCheck(TransitionSystem(None, states, events, initial, tuple(arcs)), tau, budget, cores)
+
+
+class _KernelCheck:
+    """The candidate check by the search kernel: refute is one solve_index
+    call, and first_failure is decide_property plus, for a core, a second
+    solve of its failure atom that collects the arcs it touched."""
+
+    __slots__ = ("problem", "budget", "cores")
+
+    def __init__(self, ts: TransitionSystem, tau: BooleanType, budget, cores: bool):
+        self.problem = CompiledProblem(ts, tau)
+        self.budget = budget
+        self.cores = cores
+
+    def refute(self, kind: int, a: int, b: int) -> int | None:
+        sup, _, touched = self.problem.solve_index(kind, a, b, self.budget, self.cores)
+        if sup is not None:
+            return None
+        return _mask_of(i for i, hit in enumerate(touched) if hit) if self.cores else 0
+
+    def first_failure(self, prop: str) -> tuple[int, int, int, int] | None:
+        problem = self.problem
+        result = decide_property(
+            problem.ts, problem.tau, prop, self.budget, problem=problem, canonical_failure=False
+        )
+        if isinstance(result, Witness):
+            return None
+        kind, a, b = problem.atom_args(result)
+        return (kind, a, b, self.refute(kind, a, b) if self.cores else 0)
 
 
 # -- exact search ------------------------------------------------------------------
@@ -519,9 +585,13 @@ def _search_split(ts, tau, mode, kappa, budget) -> ModificationPlan | None:
     occ = ts.event_arcs
     tops = [len(o) - 1 for o in occ]  # most extra groups per event
     patterns = _abab_patterns(ts) if tau.tags <= _OBSTRUCTION_SCOPE else []
+    # every candidate has the same state order and the same arc endpoints,
+    # so they and the BFS tree over them are computed once
+    order, base = _split_frame(ts)
+    states = tuple(ts.states[s] for s in order)
+    tree = spanning_tree(len(order), 0, base) if is_linear(tau) else None
     # the last failing atom, rechecked first: it usually refutes the next
-    # candidate too.  (SSP, s, s') or (ESSP, (e, g), s); every candidate has
-    # the same state order (it depends only on ts.arcs).
+    # candidate too.  (SSP, s, s') or (ESSP, (e, g), s)
     sticky = None
 
     grp = [0] * len(ts.arcs)
@@ -576,25 +646,28 @@ def _search_split(ts, tau, mode, kappa, budget) -> ModificationPlan | None:
             for pi in watchers.get(a, ()):
                 countdown[pi] += 1
 
-        groups_used = {e: extra[e] + 1 for e in split_events}
+        labels = _split_labels(ts, {e: extra[e] + 1 for e in split_events})
 
         def emit() -> ModificationPlan | None:
             nonlocal sticky
-            cand, event_at = _split_system(ts, grp, groups_used)
-            problem = CompiledProblem(cand, tau)
+            arcs, event_at = _split_arcs(base, grp)
+            events = tuple(labels[eg] for eg in event_at)
+            check = _check(tau, budget, False, states, events, 0, arcs, tree)
             if sticky is not None:
                 kind, a, b = sticky
                 if kind == ESSP:
+                    # not an atom of this candidate when the label is gone or
+                    # occurs at the state
+                    e, g = a
+                    arc = ts.arc_at.get((order[b], e))
                     a = event_at.get(a)
-                    if a is None or (b, a) in cand.delta:
-                        kind = None  # not an atom of this candidate
-                if kind is not None and problem.solve_index(kind, a, b, budget)[0] is None:
+                    if a is None or (arc is not None and grp[arc] == g):
+                        kind = None
+                if kind is not None and check.refute(kind, a, b) is not None:
                     return None
-            result = decide_property(
-                cand, tau, prop, budget, problem=problem, canonical_failure=False
-            )
-            if not isinstance(result, Witness):
-                kind, a, b = problem.atom_args(result)
+            failure = check.first_failure(prop)
+            if failure is not None:
+                kind, a, b, _ = failure
                 sticky = (kind, list(event_at)[a] if kind == ESSP else a, b)
                 return None
             splits = tuple(
@@ -733,12 +806,12 @@ def _search_removal(ts, tau, kind, mode, kappa, budget) -> ModificationPlan | No
             acc |= hit_bits[i]
             suffix_cover[i] = acc
 
-    def record_certificate(arc_origin, key, touched):
+    def record_certificate(arc_origin, key, core):
         mask = 0
-        if touched is not None:
-            for i, hit in enumerate(touched):
-                if hit:
-                    mask |= 1 << arc_origin[i]
+        while core:
+            low = core & -core
+            mask |= 1 << arc_origin[low.bit_length() - 1]
+            core ^= low
         if (key, mask) not in cert_seen:
             cert_seen.add((key, mask))
             register_cert(_Certificate(key, mask))
@@ -806,30 +879,26 @@ def _search_removal(ts, tau, kind, mode, kappa, budget) -> ModificationPlan | No
                 break
             combo, removal = found
             resume = combo
-            cand, arc_origin, states, events = _restrict(ts, *removal, None)
-            problem = CompiledProblem(cand, tau)
+            states, events, arc_origin, initial, arcs = _restrict(ts, *removal)
+            names = tuple(ts.states[s] for s in states), tuple(ts.events[e] for e in events)
+            check = _check(tau, budget, True, *names, initial, arcs)
             _, gone_states, gone_events = removal
 
             if last_fail is not None and _atom_alive(last_fail, *removal):
                 atom_kind, a, b, _ = last_fail
                 a = _rank(gone_events if atom_kind == ESSP else gone_states, a)
-                sup, _, touched = problem.solve_index(
-                    atom_kind, a, _rank(gone_states, b), budget, collect_touched=True
-                )
-                if sup is None:
-                    record_certificate(arc_origin, last_fail, touched)
+                core = check.refute(atom_kind, a, _rank(gone_states, b))
+                if core is not None:
+                    record_certificate(arc_origin, last_fail, core)
                     continue
 
-            result = decide_property(
-                cand, tau, prop, budget, problem=problem, canonical_failure=False
-            )
-            if isinstance(result, Witness):
+            failure = check.first_failure(prop)
+            if failure is None:
                 names = tuple(items[i][0] for i in combo)
                 return ModificationPlan(kind=kind, cost=cost, **{kind + "s": names})
-            atom_kind, a, b = problem.atom_args(result)
-            _, _, touched = problem.solve_index(atom_kind, a, b, budget, collect_touched=True)
+            atom_kind, a, b, core = failure
             key = _atom_key(ts, atom_kind, (events if atom_kind == ESSP else states)[a], states[b])
-            last_fail = record_certificate(arc_origin, key, touched)
+            last_fail = record_certificate(arc_origin, key, core)
     return None
 
 

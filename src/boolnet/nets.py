@@ -45,7 +45,9 @@ class BooleanNet:
         """flow maps (place, transition) to a tag; missing pairs mean nop.
 
         The completed flow must take values inside tau (so leaving pairs
-        implicit requires nop ∈ tau).
+        implicit requires nop ∈ tau).  Place and transition names must be
+        in the identifier class of state and event names, whether or not a
+        transition ever fires.
         """
         if len(set(places)) != len(places):
             raise ParseError("duplicate place name")
@@ -53,6 +55,10 @@ class BooleanNet:
             raise ParseError("duplicate transition name")
         if len(m0) != len(places):
             raise ParseError("initial marking arity differs from place count")
+        for p in places:
+            _check_ident(p, "place")
+        for t in transitions:
+            _check_ident(t, "transition")
         full: dict[tuple[str, str], str] = {}
         for p in places:
             for t in transitions:
@@ -161,15 +167,14 @@ def reachability_graph(net: BooleanNet) -> TransitionSystem:
         warnings.warn(f"dropping dead transitions from reachability graph: {', '.join(dead)}")
     live = [k for k, f in enumerate(fired) if f]
     event_of = {k: e for e, k in enumerate(live)}
-    events = tuple(_check_ident(net.transitions[k], "event") for k in live)
     # Nothing is left for TransitionSystem.build to check: the BFS reaches
     # every state, every kept event fired, each (marking, transition) pair
-    # gives at most one arc, and marking texts are in the identifier class.
-    # Transition names come unchecked from the net, so they are checked here.
+    # gives at most one arc, and marking texts and the net's transition
+    # names are in the identifier class.
     return TransitionSystem(
         (net.name + "-rg") if net.name else None,
         tuple(text(m) for m in order),
-        events,
+        tuple(net.transitions[k] for k in live),
         0,
         tuple((s, event_of[k], d) for s, k, d in arcs),
     )

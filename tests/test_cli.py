@@ -211,6 +211,15 @@ def test_simulate_repeated_type_line_is_a_parse_error(tmp_path, capsys):
     assert "line 2: duplicate type declaration" in err and "Traceback" not in err
 
 
+def test_simulate_dead_transition_with_a_bad_name_is_a_parse_error(tmp_path, capsys):
+    # é never fires (inp needs p marked), yet the file is still malformed
+    net = tmp_path / "dead.net"
+    net.write_text("type nop,inp\nplace p 0\ntrans ok\ntrans é\nflow p é inp\n", encoding="utf-8")
+    assert run(["simulate", str(net)]) == 2
+    err = capsys.readouterr().err
+    assert "bad transition name 'é'" in err and "Traceback" not in err
+
+
 # One list per file format of directives with the words each argument is
 # drawn from; repeats weight the draw, and the first entry opens most
 # files.  _ODD holds words that are wrong anywhere or almost anywhere: a

@@ -218,11 +218,19 @@ def test_reachability_graph_matches_name_level_build():
     assert with_dead >= 30
 
 
-def test_reachability_graph_checks_live_transition_names():
-    live = bn.BooleanNet(None, TAU, ("p",), ("é",), {}, (0,))
-    for build in (bn.reachability_graph, _name_level_reachability_graph):
-        with pytest.raises(bn.ParseError, match="bad event name"):
-            build(live)
-    dead = bn.BooleanNet(None, TAU, ("p",), ("ok", "é"), {("p", "é"): "inp"}, (0,))
-    with pytest.warns(UserWarning, match="dead"):
-        assert bn.reachability_graph(dead) == _name_level_reachability_graph(dead)
+def test_net_names_are_checked_when_the_net_is_built():
+    # a bad name is an error whether or not its transition ever fires
+    live = (("é",), {})
+    dead = (("ok", "é"), {("p", "é"): "inp"})
+    for transitions, flow in (live, dead):
+        with pytest.raises(bn.ParseError, match="bad transition name 'é'"):
+            bn.BooleanNet(None, TAU, ("p",), transitions, flow, (0,))
+    with pytest.raises(bn.ParseError, match="bad place name 'é'"):
+        bn.BooleanNet(None, TAU, ("é",), ("t",), {}, (0,))
+    for text, what in [
+        ("type nop,inp\nplace p 0\ntrans é\n", "transition"),
+        ("type nop,inp\nplace p 0\ntrans ok\ntrans é\nflow p é inp\n", "transition"),
+        ("type nop,inp\nplace é 0\ntrans t\n", "place"),
+    ]:
+        with pytest.raises(bn.ParseError, match=f"bad {what} name 'é'"):
+            bn.parse_net(text)
