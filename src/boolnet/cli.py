@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 
 from .errors import BoolnetError, ParseError, SearchBudgetExceeded
 from .gadgets import (
@@ -146,8 +147,6 @@ def _cmd_vc(args) -> int:
 
 def _cmd_fixtures(args) -> int:
     """Run the bundled worked examples end to end and report each step."""
-    from .synthesis import verify_implementation
-
     lines = []
 
     def step(name, ok):
@@ -306,22 +305,29 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _warning_line(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def run(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
-        return args.fn(args)
-    except SearchBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except BoolnetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with warnings.catch_warnings():
+        # a library warning is one line for the user, not a source location
+        warnings.showwarning = _warning_line
+        try:
+            return args.fn(args)
+        except SearchBudgetExceeded as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BUDGET
+        except BoolnetError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
 
 def main() -> None:

@@ -136,7 +136,6 @@ def brute_force_vc(g: Graph3B, lam: int) -> tuple[str, ...] | None:
     independent of the solvers.
     """
     n = len(g.vertices)
-    best = None
     candidates = []
 
     def covers(subset: tuple[int, ...]) -> bool:

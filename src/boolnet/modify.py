@@ -9,10 +9,13 @@ Search layout: label splitting iterates over total label counts, enumerating
 per-event group counts and then set partitions of each split event's
 occurrence list as restricted-growth strings, over an explicit stack;
 removals iterate over removal subsets in canonical order per cost level.
-Both searches stay exact; all pruning below is refutation-based
-(forced-unsolvable-atom patterns for splits, recorded refutation
-certificates for removals) and never skips a potentially satisfiable
-candidate.
+Both searches stay exact; all pruning below is refutation-based and never
+skips a potentially satisfiable candidate.  For splits it is the even-walk
+patterns (_abab_patterns), compiled once per search into their watchable
+arcs and whether the intact walk refutes on its own, so a composition only
+rebuilds its watch lists and countdowns.  For removals it is the recorded
+refutation certificates, each a (key, mask) tuple: the atom and the
+original arcs its core used.
 
 The searches work in integer indices from the input system to the solver.
 Candidates are index arcs: a split candidate is the input's arcs with the
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidPlan, ParseError, UnknownId
 from .interactions import BooleanType
-from .linear import LinearProblem, is_linear, spanning_tree
+from .linear import LINEAR_TAGS, LinearProblem, is_linear, spanning_tree
 from .regions import (
     ESSP,
     SSP,
@@ -58,11 +61,6 @@ KINDS = ("split", "edge", "event", "state")
 
 DEFAULT_NODE_LIMIT = 10_000_000
 
-# Type scope of the even-walk obstruction: two interleaved events traversed
-# twice flip any region support an even number of times, so the walk's ends
-# share their support.  Breaks down once set/res can overwrite values.
-_OBSTRUCTION_SCOPE = frozenset(("nop", "inp", "out", "swap", "used", "free"))
-
 
 @dataclass(frozen=True)
 class ModificationPlan:
@@ -70,8 +68,9 @@ class ModificationPlan:
 
     splits: per split event, the group id of each of its occurrences in
     canonical arc order (group 0 keeps the base label, group k gets k primes).
-    edges/events/states: the removed elements by name.  cost: label count of
-    the result for splits, number of removed elements otherwise.
+    edges/events/states: the removed elements by name.  A plan carries only
+    its own kind's payload; any other raises ParseError.  cost: label count
+    of the result for splits, number of removed elements otherwise.
     """
 
     kind: str
@@ -84,6 +83,9 @@ class ModificationPlan:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParseError(f"unknown plan kind {self.kind!r}")
+        for field in ("splits", "edges", "events", "states"):
+            if getattr(self, field) and field != self.kind + "s":
+                raise ParseError(f"{self.kind} plan carries {field}")
 
     def is_noop(self) -> bool:
         return not (self.splits or self.edges or self.events or self.states)
@@ -201,7 +203,6 @@ def _apply_removal(ts: TransitionSystem, plan: ModificationPlan) -> TransitionSy
     items = _removal_items(ts, kind)
     index = {item[0]: i for i, item in enumerate(items)}
     chosen = set()
-    removed_mask = gone_states = gone_events = 0
     for name in getattr(plan, kind + "s"):
         shown = "{} -{}-> {}".format(*name) if kind == "edge" else name
         i = index.get(name)
@@ -212,10 +213,7 @@ def _apply_removal(ts: TransitionSystem, plan: ModificationPlan) -> TransitionSy
         if i in chosen:
             raise ParseError(f"{kind} {shown if kind == 'edge' else repr(name)} listed twice")
         chosen.add(i)
-        _, mask, state_bit, event_bit = items[i]
-        removed_mask |= mask
-        gone_states |= state_bit
-        gone_events |= event_bit
+    removed_mask, gone_states, gone_events = _fold(items, chosen)
     e = _dead_event([_mask_of(occ) for occ in ts.event_arcs], removed_mask, gone_events)
     if e >= 0:
         raise InvalidPlan("useless-event", ts.events[e])
@@ -225,6 +223,17 @@ def _apply_removal(ts: TransitionSystem, plan: ModificationPlan) -> TransitionSy
     states, events, _, initial, arcs = _restrict(ts, removed_mask, gone_states, gone_events)
     names = tuple(ts.states[s] for s in states), tuple(ts.events[e] for e in events)
     return TransitionSystem(ts.name, *names, initial, tuple(arcs))
+
+
+def _fold(items: list[tuple], chosen) -> tuple[int, int, int]:
+    """The arcs, states and events the chosen items delete, as bitmasks."""
+    removed_mask = gone_states = gone_events = 0
+    for i in chosen:
+        _, mask, state_bit, event_bit = items[i]
+        removed_mask |= mask
+        gone_states |= state_bit
+        gone_events |= event_bit
+    return removed_mask, gone_states, gone_events
 
 
 def _dead_event(event_masks: list[int], removed_mask: int, gone_events: int) -> int:
@@ -369,10 +378,6 @@ class FastPathResult:
     reason: str = ""
 
 
-def _every_event_everywhere(ts: TransitionSystem) -> bool:
-    return len(ts.delta) == len(ts.states) * len(ts.events)
-
-
 def decide_fast_path(
     ts: TransitionSystem,
     tau: BooleanType,
@@ -389,44 +394,33 @@ def decide_fast_path(
     goes through the candidate check (_check), so {nop,swap} gets it by
     elimination.
     """
-    fall = FastPathResult("fall-through")
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "embed" or kind == "event":
-        return fall
-
-    if kind in ("split", "edge"):
-        if not tau.tags <= {"nop", "swap", "set", "res"}:
-            return fall
-        # no partial interaction exists, so no missing occurrence is ever
-        # solvable: the property holds exactly for complete occurrence tables,
-        # and neither splitting nor removing edges can complete one
-        if not _every_event_everywhere(ts):
-            return FastPathResult("no", reason="an event is missing at some state")
-        if mode == "realize":
-            pair = _inseparable_pair(ts, tau, budget)
-            if pair:
-                return FastPathResult("no", reason=f"state pair {pair} not separable")
-        cost = len(ts.events) if kind == "split" else 0
-        return FastPathResult("yes", plan=ModificationPlan(kind=kind, cost=cost))
-
-    # state removal
-    if tau.tags != {"nop", "swap"}:
-        return fall
-    # a kept state set must give every kept state every event inside it; the
-    # largest such set contains the initial state only when every event
-    # occurs everywhere (all states are reachable, so a missing occurrence
-    # anywhere poisons the initial state), and then it is every state
-    if not _every_event_everywhere(ts):
-        return FastPathResult("no", reason="initial state cannot keep all events")
+        return FastPathResult("fall-through")
+    state = kind == "state"
+    if not (tau.tags == {"nop", "swap"} if state else tau.tags <= {"nop", "swap", "set", "res"}):
+        return FastPathResult("fall-through")
+    # split/edge: no partial interaction exists, so no missing occurrence is
+    # ever solvable: the property holds exactly for complete occurrence
+    # tables, and neither splitting nor removing edges can complete one.
+    # state: a kept state set must give every kept state every event inside
+    # it; the largest such set contains the initial state only when every
+    # event occurs everywhere (all states are reachable, so a missing
+    # occurrence anywhere poisons the initial state), and then it is every
+    # state, so an unsolvable state pair is final
+    if len(ts.delta) != len(ts.states) * len(ts.events):
+        if state:
+            return FastPathResult("no", reason="initial state cannot keep all events")
+        return FastPathResult("no", reason="an event is missing at some state")
     if mode == "realize":
         pair = _inseparable_pair(ts, tau, budget)
         if pair:
-            # every state must be kept, so an unsolvable pair is final
             return FastPathResult("no", reason=f"state pair {pair} not separable")
-    return FastPathResult("yes", plan=ModificationPlan(kind="state", cost=0))
+    cost = len(ts.events) if kind == "split" else 0
+    return FastPathResult("yes", plan=ModificationPlan(kind=kind, cost=cost))
 
 
 def _inseparable_pair(ts: TransitionSystem, tau: BooleanType, budget) -> str:
@@ -547,13 +541,13 @@ def decide(
 # -- even-walk obstruction patterns ----------------------------------------------
 
 
-def _abab_patterns(ts: TransitionSystem) -> list[tuple[int, int, int, int, int, int, int, int]]:
+def _abab_patterns(ts: TransitionSystem) -> list[tuple[int, int, int, int, int]]:
     """All four-arc walks with events (x, y, x, y): their end states share
     every region's support whenever no overwrite interaction is in play.
 
-    Record: (a1, a2, a3, a4, s0, s4, e1, alpha) with alpha the arc of e1
-    leaving s4 (-1 when absent).  Walks returning to their start are dropped:
-    both of their conclusions are vacuous.
+    Record: (a1, a2, a3, a4, alpha) with alpha the arc of x leaving the
+    walk's end (-1 when absent).  Walks returning to their start are
+    dropped: both of their conclusions are vacuous.
     """
     pats = []
     for a1, (s0, e1, s1) in enumerate(ts.arcs):
@@ -570,7 +564,7 @@ def _abab_patterns(ts: TransitionSystem) -> list[tuple[int, int, int, int, int, 
             if s4 == s0:
                 continue
             alpha = ts.arc_at.get((s4, e1))
-            pats.append((a1, a2, a3, a4, s0, s4, e1, -1 if alpha is None else alpha))
+            pats.append((a1, a2, a3, a4, -1 if alpha is None else alpha))
     return pats
 
 
@@ -584,7 +578,19 @@ def _search_split(ts, tau, mode, kappa, budget) -> ModificationPlan | None:
     n_events = len(ts.events)
     occ = ts.event_arcs
     tops = [len(o) - 1 for o in occ]  # most extra groups per event
-    patterns = _abab_patterns(ts) if tau.tags <= _OBSTRUCTION_SCOPE else []
+    event_of = [e for _, e, _ in ts.arcs]
+    # each even-walk pattern, once per search: its walk and alpha, the arcs
+    # whose groups can break it (the walk's, and alpha's when ESSP is asked),
+    # and whether the intact walk refutes a candidate on its own (always for
+    # SSP; for ESSP alone when its end state lacks the walk's first event).
+    # The walk flips a support an even number of times, which proves nothing
+    # once set or res can overwrite it, so only tags within LINEAR_TAGS.
+    patterns = []
+    for a1, a2, a3, a4, alpha in _abab_patterns(ts) if tau.tags <= LINEAR_TAGS else ():
+        watchable = {a1, a2, a3, a4}
+        if need_essp and alpha >= 0:
+            watchable.add(alpha)
+        patterns.append((a1, a2, a3, a4, alpha, watchable, need_ssp or alpha < 0))
     # every candidate has the same state order and the same arc endpoints,
     # so they and the BFS tree over them are computed once
     order, base = _split_frame(ts)
@@ -596,84 +602,69 @@ def _search_split(ts, tau, mode, kappa, budget) -> ModificationPlan | None:
 
     grp = [0] * len(ts.arcs)
     extra = [0] * n_events
+    # per composition: the patterns watching each arc of a split event, and
+    # the watched arcs each pattern has left to assign
+    watchers: dict[int, list[int]] = {}
+    countdown = [0] * len(patterns)
 
-    # per-arc pattern watch lists, built per composition (watch arcs = arcs of
-    # split events among the pattern's four walk arcs plus its alpha arc)
+    def pattern_dead(pi) -> bool:
+        a1, a2, a3, a4, alpha, _, refutes = patterns[pi]
+        if grp[a1] != grp[a3] or grp[a2] != grp[a4]:
+            return False  # walk broken by the split
+        return refutes or grp[alpha] != grp[a1]
+
+    def assign(a: int, g: int) -> bool:
+        grp[a] = g
+        ok = True
+        for pi in watchers.get(a, ()):
+            countdown[pi] -= 1
+            if ok and countdown[pi] == 0 and pattern_dead(pi):
+                ok = False
+        return ok
+
+    def unassign(a: int) -> None:
+        grp[a] = 0
+        for pi in watchers.get(a, ()):
+            countdown[pi] += 1
+
+    def emit(labels, split_events) -> ModificationPlan | None:
+        nonlocal sticky
+        arcs, event_at = _split_arcs(base, grp)
+        events = tuple(labels[eg] for eg in event_at)
+        check = _check(tau, budget, False, states, events, 0, arcs, tree)
+        if sticky is not None:
+            kind, a, b = sticky
+            if kind == ESSP:
+                # not an atom of this candidate when the label is gone or
+                # occurs at the state
+                e, g = a
+                arc = ts.arc_at.get((order[b], e))
+                a = event_at.get(a)
+                if a is None or (arc is not None and grp[arc] == g):
+                    kind = None
+            if kind is not None and check.refute(kind, a, b) is not None:
+                return None
+        failure = check.first_failure(prop)
+        if failure is not None:
+            kind, a, b, _ = failure
+            sticky = (kind, list(event_at)[a] if kind == ESSP else a, b)
+            return None
+        splits = tuple(
+            (ts.events[e], tuple(grp[a] for a in occ[e])) for e in split_events
+        )
+        return ModificationPlan(kind="split", cost=n_events + sum(extra), splits=splits)
+
     def run_composition() -> ModificationPlan | None:
-        split_events = [e for e in range(n_events) if extra[e] > 0]
-        watchers: dict[int, list[int]] = {}
-        countdown = []
-        live = []
-        for pi, (a1, a2, a3, a4, s0, s4, e1, alpha) in enumerate(patterns):
-            watch = set()
-            for a in (a1, a2, a3, a4):
-                if extra[ts.arcs[a][1]] > 0:
-                    watch.add(a)
-            if alpha >= 0 and need_essp and extra[ts.arcs[alpha][1]] > 0:
-                watch.add(alpha)
-            countdown.append(len(watch))
-            live.append(True)
-            if not watch:
-                # fully determined already: labels keep the walk intact
-                if need_ssp or (need_essp and alpha < 0):
-                    return None  # composition refuted outright
-                live[pi] = False
-                continue
+        watchers.clear()
+        for pi, (*_, watchable, refutes) in enumerate(patterns):
+            watch = [a for a in watchable if extra[event_of[a]]]
+            if not watch and refutes:
+                return None  # an intact walk refutes the composition outright
+            countdown[pi] = len(watch)
             for a in watch:
                 watchers.setdefault(a, []).append(pi)
-
-        def pattern_dead(pi) -> bool:
-            a1, a2, a3, a4, s0, s4, e1, alpha = patterns[pi]
-            if grp[a1] != grp[a3] or grp[a2] != grp[a4]:
-                return False  # walk broken by the split
-            if need_ssp:
-                return True
-            if need_essp:
-                return alpha < 0 or grp[alpha] != grp[a1]
-            return False
-
-        def assign(a: int, g: int) -> bool:
-            grp[a] = g
-            ok = True
-            for pi in watchers.get(a, ()):
-                countdown[pi] -= 1
-                if ok and live[pi] and countdown[pi] == 0 and pattern_dead(pi):
-                    ok = False
-            return ok
-
-        def unassign(a: int) -> None:
-            grp[a] = 0
-            for pi in watchers.get(a, ()):
-                countdown[pi] += 1
-
+        split_events = [e for e in range(n_events) if extra[e] > 0]
         labels = _split_labels(ts, {e: extra[e] + 1 for e in split_events})
-
-        def emit() -> ModificationPlan | None:
-            nonlocal sticky
-            arcs, event_at = _split_arcs(base, grp)
-            events = tuple(labels[eg] for eg in event_at)
-            check = _check(tau, budget, False, states, events, 0, arcs, tree)
-            if sticky is not None:
-                kind, a, b = sticky
-                if kind == ESSP:
-                    # not an atom of this candidate when the label is gone or
-                    # occurs at the state
-                    e, g = a
-                    arc = ts.arc_at.get((order[b], e))
-                    a = event_at.get(a)
-                    if a is None or (arc is not None and grp[arc] == g):
-                        kind = None
-                if kind is not None and check.refute(kind, a, b) is not None:
-                    return None
-            failure = check.first_failure(prop)
-            if failure is not None:
-                kind, a, b, _ = failure
-                sticky = (kind, list(event_at)[a] if kind == ESSP else a, b)
-                return None
-            splits = tuple(
-                (ts.events[e], tuple(grp[a] for a in occ[e])) for e in split_events
-            )
-            return ModificationPlan(kind="split", cost=n_events + sum(extra), splits=splits)
 
         # each split event's occurrences as a restricted-growth string into
         # exactly its group count, event after event, over an explicit stack
@@ -691,7 +682,7 @@ def _search_split(ts, tau, mode, kappa, budget) -> ModificationPlan | None:
         i = 0
         while i >= 0:
             if i == n:
-                found = emit()
+                found = emit(labels, split_events)
                 if found is not None:
                     return found
                 i -= 1
@@ -757,124 +748,100 @@ def _compositions(tops: list[int], total: int):
 # -- removal search -----------------------------------------------------------------
 
 
-class _Certificate:
-    """A refutation of one atom valid for every candidate that keeps all its
-    touched arcs (and the atom itself)."""
-
-    __slots__ = ("key", "mask")
-
-    def __init__(self, key, mask):
-        self.key = key  # see _atom_key
-        self.mask = mask
-
-
 def _search_removal(ts, tau, kind, mode, kappa, budget) -> ModificationPlan | None:
     prop = property_for_mode(mode)
     items = _removal_items(ts, kind)
     n_items = len(items)
     event_masks = [_mask_of(occ) for occ in ts.event_arcs]
-    cert_seen: set[tuple] = set()
     last_fail: tuple | None = None  # atom key in original indices, see _atom_key
 
-    # certificates split two ways: ones whose atom survives every removal of
-    # this kind unless explicitly hit ("hard" — together they form a cover
-    # constraint every viable combo must satisfy), and ones whose atom only
-    # exists once a specific arc is removed ("soft" — checked per candidate).
-    # The store only ever grows: refuting the same atom on a different
-    # candidate yields a different core, and every core is an independent
-    # rejection constraint.
+    # A certificate (key, mask) refutes the atom key (see _atom_key) on every
+    # candidate that keeps the atom and every arc of mask.  Certificates
+    # split two ways: ones whose atom survives every removal of this kind
+    # unless explicitly hit ("hard" — together they form a cover constraint
+    # every viable combo must satisfy), and ones whose atom only exists once
+    # a specific arc is removed ("soft" — checked per candidate).  The store
+    # only ever grows: refuting the same atom on a different candidate
+    # yields a different core, and every core is an independent rejection
+    # constraint.
+    cert_seen: set[tuple] = set()
     hard_count = 0
-    soft_list: list[_Certificate] = []
+    soft_list: list[tuple] = []
     hit_bits = [0] * n_items  # hit_bits[i]: hard certs neutralised by item i
     suffix_cover = [0] * (n_items + 1)
     hard_full = 0
 
-    def register_cert(cert: _Certificate):
+    def record_certificate(arc_origin, key, core):
         nonlocal hard_count, hard_full
-        if cert.key[3]:
-            soft_list.append(cert)
+        mask = 0
+        while core:
+            low = core & -core
+            mask |= 1 << arc_origin[low.bit_length() - 1]
+            core ^= low
+        if (key, mask) in cert_seen:
+            return
+        cert_seen.add((key, mask))
+        if key[3]:
+            soft_list.append((key, mask))
             return
         bit = 1 << hard_count
         hard_count += 1
         hard_full |= bit
-        for i, (_, mask, state_bit, event_bit) in enumerate(items):
+        for i, (_, item_mask, state_bit, event_bit) in enumerate(items):
             # the item breaks the core, or takes the atom's state or event
-            if mask & cert.mask or not _atom_alive(cert.key, mask, state_bit, event_bit):
+            if item_mask & mask or not _atom_alive(key, item_mask, state_bit, event_bit):
                 hit_bits[i] |= bit
         acc = 0
         for i in range(n_items - 1, -1, -1):
             acc |= hit_bits[i]
             suffix_cover[i] = acc
 
-    def record_certificate(arc_origin, key, core):
-        mask = 0
-        while core:
-            low = core & -core
-            mask |= 1 << arc_origin[low.bit_length() - 1]
-            core ^= low
-        if (key, mask) not in cert_seen:
-            cert_seen.add((key, mask))
-            register_cert(_Certificate(key, mask))
-        return key
-
     def leaf_ok(combo):
         """Death/soft-certificate/reachability screening for a full combo."""
-        removed_mask = gone_states = gone_events = 0
-        for i in combo:
-            _, mask, state_bit, event_bit = items[i]
-            removed_mask |= mask
-            gone_states |= state_bit
-            gone_events |= event_bit
+        removal = _fold(items, combo)
+        removed_mask, gone_states, gone_events = removal
         if _dead_event(event_masks, removed_mask, gone_events) >= 0:
             return None
-        for cert in soft_list:
-            if cert.mask & removed_mask:
-                continue
-            if _atom_alive(cert.key, removed_mask, gone_states, gone_events):
+        for key, mask in soft_list:
+            if not mask & removed_mask and _atom_alive(key, *removal):
                 return None
         if _unreached_state(ts, removed_mask, gone_states) >= 0:
             return None
-        return (removed_mask, gone_states, gone_events)
+        return removal
 
-    def scan(slots, resume):
-        """Lexicographically first combo after `resume` passing every filter.
+    def scan(start, slots, cover, prefix, bound):
+        """Lexicographically first combo of `slots` more items from `start`
+        on, after `bound` (the rest of the last combo tried, or None),
+        passing every filter, as (combo, removal) or None.
 
         Enumerates index combos in lex order but descends only where the
         remaining items can still neutralise every hard certificate, which
         skips the dead bulk of the level wholesale.
         """
-
-        def rec(start, slots, cover, prefix, bound):
-            if slots == 0:
-                if bound is not None:
-                    return None  # this exact combo is `resume`: skip it
-                removal = leaf_ok(prefix)
-                if removal is None:
-                    return None
-                return (prefix, removal)
-            i0 = start
-            if bound is not None and bound[0] > i0:
-                i0 = bound[0]
-            for i in range(i0, n_items - slots + 1):
-                budget.charge()
-                nb = None
-                if bound is not None and i == bound[0]:
-                    nb = bound[1:]
-                ncover = cover | hit_bits[i]
-                need = hard_full & ~ncover
-                if need and (slots == 1 or (need & ~suffix_cover[i + 1])):
-                    continue
-                found = rec(i + 1, slots - 1, ncover, prefix + (i,), nb)
-                if found is not None:
-                    return found
-            return None
-
-        return rec(0, slots, 0, (), resume)
+        if slots == 0:
+            if bound is not None:
+                return None  # this exact combo is the last one tried: skip it
+            removal = leaf_ok(prefix)
+            return None if removal is None else (prefix, removal)
+        i0 = start
+        if bound is not None and bound[0] > i0:
+            i0 = bound[0]
+        for i in range(i0, n_items - slots + 1):
+            budget.charge()
+            ncover = cover | hit_bits[i]
+            need = hard_full & ~ncover
+            if need and (slots == 1 or (need & ~suffix_cover[i + 1])):
+                continue
+            nb = bound[1:] if bound is not None and i == bound[0] else None
+            found = scan(i + 1, slots - 1, ncover, prefix + (i,), nb)
+            if found is not None:
+                return found
+        return None
 
     for cost in range(0, min(kappa, n_items) + 1):
         resume = None
         while True:
-            found = scan(cost, resume)
+            found = scan(0, cost, 0, (), resume)
             if found is None:
                 break
             combo, removal = found
@@ -898,7 +865,8 @@ def _search_removal(ts, tau, kind, mode, kappa, budget) -> ModificationPlan | No
                 return ModificationPlan(kind=kind, cost=cost, **{kind + "s": names})
             atom_kind, a, b, core = failure
             key = _atom_key(ts, atom_kind, (events if atom_kind == ESSP else states)[a], states[b])
-            last_fail = record_certificate(arc_origin, key, core)
+            last_fail = key
+            record_certificate(arc_origin, key, core)
     return None
 
 

@@ -220,6 +220,16 @@ def test_simulate_dead_transition_with_a_bad_name_is_a_parse_error(tmp_path, cap
     assert "bad transition name 'é'" in err and "Traceback" not in err
 
 
+def test_simulate_dead_transition_warning_is_one_line(tmp_path, capsys):
+    # t needs p marked, so it never fires and is dropped from the graph
+    net = tmp_path / "dead.net"
+    net.write_text("type nop,inp\nplace p 0\ntrans ok\ntrans t\nflow p t inp\n", encoding="utf-8")
+    assert run(["simulate", str(net)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: dropping dead transitions from reachability graph: t\n"
+    assert "arc (0) ok (0)" in captured.out
+
+
 # One list per file format of directives with the words each argument is
 # drawn from; repeats weight the draw, and the first entry opens most
 # files.  _ODD holds words that are wrong anywhere or almost anywhere: a

@@ -25,6 +25,23 @@ def test_plan_constructor_rejects_unknown_kind():
         bn.ModificationPlan(kind="merge", cost=0)
 
 
+@pytest.mark.parametrize(
+    "kind,payload,stray",
+    [
+        ("split", {"edges": (("s0", "a", "s1"),)}, "edges"),
+        ("edge", {"splits": (("a", (0, 1)),)}, "splits"),
+        ("event", {"states": ("s1",)}, "states"),
+        ("state", {"events": ("a",)}, "events"),
+        ("edge", {"edges": (("s0", "a", "s1"),), "events": ("a",)}, "events"),
+    ],
+)
+def test_plan_constructor_rejects_another_kinds_payload(kind, payload, stray):
+    # such a plan would apply as a no-op yet not be one, and its dump would
+    # not parse back
+    with pytest.raises(bn.ParseError, match=stray):
+        bn.ModificationPlan(kind=kind, cost=1, **payload)
+
+
 def test_split_plan_cost():
     ts = bn.TransitionSystem.build(
         initial="t0", arcs=[("t0", "a", "t1"), ("t1", "a", "t2")]

@@ -16,6 +16,14 @@ elimination call charges one node where a kernel call charged its search
 nodes, and its even-walk cores prune other removal candidates than the
 kernel's touched arcs.  Their plan digests, and both digests of
 {nop,set,res,swap}, did not change.
+
+The split-gadget digest hashes `decide(split)` on split reduction gadgets,
+the kind of input the `split` benchmark workload runs: the gadgets of the
+eight exhaustive graphs, directed under {nop,inp,swap} and bidirectional under
+{nop,swap,used}, every mode and every λ, under node limits 0 (none), 10,
+100, 1,000 and 10,000.  Most of their label compositions are refuted by an
+intact even walk before any group is assigned, so this digest pins the
+split search's pattern pruning and its node charges.
 """
 
 import hashlib
@@ -47,6 +55,10 @@ BUDGET_GOLDEN = {
 }
 
 LIMITS = (1, 10, 100, 1000)
+
+SPLIT_GADGET_GOLDEN = "c5ff51adf9ad1b2b7adf548ae8b83bff61c693cd4b1873ddd88e187e3aa5693d"
+
+SPLIT_GADGET_LIMITS = (0, 10, 100, 1000, 10_000)
 
 
 def outcome(ts, tau, kind, mode, kappa, node_limit):
@@ -84,3 +96,19 @@ def test_modify_search_digest_is_pinned():
     plans, budgets = corpus_digests()
     assert plans == PLAN_GOLDEN
     assert budgets == BUDGET_GOLDEN
+
+
+def split_gadget_digest():
+    h = hashlib.sha256()
+    for g in oracles.exhaustive_graphs():
+        for variant, tau in (("directed", oracles.TAU_D), ("bidirectional", oracles.TAU_B)):
+            for lam in range(len(g.vertices) + 1):
+                ts, kappa = bn.build_gadget(g, bn.GadgetSpec("split", variant, lam))
+                for mode in bn.MODES:
+                    for limit in SPLIT_GADGET_LIMITS:
+                        h.update(outcome(ts, tau, "split", mode, kappa, limit).encode())
+    return h.hexdigest()
+
+
+def test_split_gadget_digest_is_pinned():
+    assert split_gadget_digest() == SPLIT_GADGET_GOLDEN
