@@ -19,9 +19,9 @@ fail identically and are skipped.  An empty conflict set means the failure
 depends on no decision at all, so the whole search is over.  This prunes the
 combinatorial padding of events that never interact with the conflict.  On
 an exhaustive failure the kernel hands back the union of conflict arcs as a
-refutation core: any system that keeps all those arcs (and the atom) refutes
-the same atom, which is what the modification search uses to reject
-candidate removals wholesale.
+refutation core, a bitmask over the arcs (bit a for arc a): any system that
+keeps all those arcs (and the atom) refutes the same atom, which is what the
+modification search uses to reject candidate removals wholesale.
 
 `prepare` turns the arc arrays into adjacency once per problem: for each
 state the arcs to scan when its support lands (its out-arcs with the APPLY
@@ -81,14 +81,12 @@ class Problem:
     copied, to build `cored` from.
     """
 
-    __slots__ = ("n_states", "n_events", "n_arcs", "initial", "branch_tags",
-                 "arcs", "plain", "cored")
+    __slots__ = ("n_states", "n_events", "initial", "branch_tags", "arcs", "plain", "cored")
 
     def __init__(self, n_states, n_events, arc_src, arc_ev, arc_dst,
                  out_arcs, in_arcs, ev_arcs, initial, branch_tags):
         self.n_states = n_states
         self.n_events = n_events
-        self.n_arcs = len(arc_src)
         self.initial = initial
         self.branch_tags = tuple(branch_tags)
         self.arcs = (arc_src, arc_ev, arc_dst, out_arcs, in_arcs, ev_arcs)
@@ -121,9 +119,9 @@ def solve(p: Problem, kind: int, goal_a: int, goal_b: int,
 
     limit < 0 means unbounded; otherwise the search may charge at most that
     many nodes (one per root support choice and per signature assignment).
-    Returns (status, sup, sig, nodes, touched); touched is a bytearray over
-    arcs marking the refutation core when the answer is NONE and requested
-    (all zeros on FOUND/BUDGET — only a refutation has a core).
+    Returns (status, sup, sig, nodes, core); core is the refutation core as
+    a bitmask over the arcs when the answer is NONE and collect_touched is
+    set, and 0 otherwise (only a refutation has a core).
     """
     if collect_touched:
         if p.cored is None:
@@ -160,8 +158,7 @@ def solve(p: Problem, kind: int, goal_a: int, goal_b: int,
             branch[level] = i + 1
             nodes += 1
             if 0 <= limit < nodes:
-                return (BUDGET, None, None, nodes,
-                        bytearray(p.n_arcs) if collect_touched else None)
+                return (BUDGET, None, None, nodes, 0)
             marks[level] = len(trail)
             cm = OK
             if level == 0:
@@ -295,8 +292,7 @@ def solve(p: Problem, kind: int, goal_a: int, goal_b: int,
                 level += 1
                 if level == top:
                     assert all(v >= 0 for v in sup)
-                    return (FOUND, sup, sig[1:], nodes,
-                            bytearray(p.n_arcs) if collect_touched else None)
+                    return (FOUND, sup, sig[1:], nodes, 0)
                 branch[level] = acc_lv[level] = acc_ar[level] = 0
                 continue
         else:
@@ -320,16 +316,9 @@ def solve(p: Problem, kind: int, goal_a: int, goal_b: int,
                 acc_ar[level] |= conflict_arcs
                 break
             if level == 0:
-                # refuted: the root's conflicts are the refutation core
-                touched = None
-                if collect_touched:
-                    touched = bytearray(p.n_arcs)
-                    m = acc_ar[0] | conflict_arcs
-                    while m:
-                        low = m & -m
-                        touched[low.bit_length() - 1] = 1
-                        m ^= low
-                return (NONE, None, None, nodes, touched)
+                # refuted: the root's conflicts are the refutation core (all
+                # arc bits are 0 unless a core was asked for)
+                return (NONE, None, None, nodes, acc_ar[0] | conflict_arcs)
             # the failure never looked at this decision: siblings are
             # doomed for the same reason, hand the conflict downward
             level -= 1

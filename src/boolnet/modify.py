@@ -28,14 +28,16 @@ with its core, or None.  For a linear type (nop and swap plus any of inp,
 out, used, free; see boolnet.linear) the check is GF(2) elimination: no
 TransitionSystem is built, the kernel is never called, and each question
 charges one node.  The core then comes from the refutation itself.  For any
-other type the check builds the candidate's TransitionSystem and asks the
-kernel: refute is one solve_index call, first_failure is decide_property
-plus, when the removal search wants a core, a second solve of the failure
-atom.  Names appear only in the plans the searches return.  Removal items
-are data: each removable edge, event or state is its arc mask plus the bit
-of the state or event it takes with it, so the three removal kinds differ
-only in their item list, and apply_plan and the removal search share one
-validity screen over those masks.
+other type the check builds an anonymous TransitionSystem, named by decimal
+indices, and asks the kernel: refute is one solve_index call, first_failure
+is decide_property plus, when the removal search wants a core, a second
+solve of the failure atom.  Either way a core is a bitmask over the arcs.
+The check takes state and event counts, so the searches build no names;
+those appear only in the plans they return.  Removal items are data: each
+removable edge, event or state is its arc mask plus the bit of the state or
+event it takes with it, so the three removal kinds differ only in their item
+list, and apply_plan and the removal search share one validity screen over
+those masks.
 """
 
 from __future__ import annotations
@@ -68,9 +70,10 @@ class ModificationPlan:
 
     splits: per split event, the group id of each of its occurrences in
     canonical arc order (group 0 keeps the base label, group k gets k primes).
-    edges/events/states: the removed elements by name.  A plan carries only
-    its own kind's payload; any other raises ParseError.  cost: label count
-    of the result for splits, number of removed elements otherwise.
+    edges/events/states: the removed elements by name.  cost: label count of
+    the result for splits, number of removed elements otherwise.  A plan
+    carries only its own kind's payload and a non-negative cost; anything
+    else raises ParseError.
     """
 
     kind: str
@@ -83,6 +86,8 @@ class ModificationPlan:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParseError(f"unknown plan kind {self.kind!r}")
+        if self.cost < 0:
+            raise ParseError(f"negative plan cost {self.cost}")
         for field in ("splits", "edges", "events", "states"):
             if getattr(self, field) and field != self.kind + "s":
                 raise ParseError(f"{self.kind} plan carries {field}")
@@ -425,15 +430,16 @@ def decide_fast_path(
 
 def _inseparable_pair(ts: TransitionSystem, tau: BooleanType, budget) -> str:
     """The first state pair of ts no region separates, as text, or ""."""
-    failure = _check(tau, budget, False, ts.states, ts.events, ts.initial, ts.arcs).first_failure("ssp")
+    check = _check(tau, budget, False, len(ts.states), len(ts.events), ts.initial, ts.arcs)
+    failure = check.first_failure("ssp")
     return "" if failure is None else f"({ts.states[failure[1]]},{ts.states[failure[2]]})"
 
 
 # -- candidate checks ----------------------------------------------------------------
 
 
-def _check(tau, budget, cores, states, events, initial, arcs, tree=None):
-    """The candidate check for the system with these state and event names
+def _check(tau, budget, cores, n_states, n_events, initial, arcs, tree=None):
+    """The candidate check for the system with these state and event counts
     and index arcs: a LinearProblem when tau is linear, else the kernel.
 
     Both answer refute(kind, a, b), the core of an unsolvable atom as a
@@ -443,7 +449,8 @@ def _check(tau, budget, cores, states, events, initial, arcs, tree=None):
     tree is linear.spanning_tree of the arcs, when the caller has it.
     """
     if is_linear(tau):
-        return LinearProblem(len(states), len(events), initial, arcs, tau, budget, cores, tree)
+        return LinearProblem(n_states, n_events, initial, arcs, tau, budget, cores, tree)
+    states, events = (tuple(map(str, range(n))) for n in (n_states, n_events))
     return _KernelCheck(TransitionSystem(None, states, events, initial, tuple(arcs)), tau, budget, cores)
 
 
@@ -460,10 +467,8 @@ class _KernelCheck:
         self.cores = cores
 
     def refute(self, kind: int, a: int, b: int) -> int | None:
-        sup, _, touched = self.problem.solve_index(kind, a, b, self.budget, self.cores)
-        if sup is not None:
-            return None
-        return _mask_of(i for i, hit in enumerate(touched) if hit) if self.cores else 0
+        sup, _, core = self.problem.solve_index(kind, a, b, self.budget, self.cores)
+        return None if sup is not None else core
 
     def first_failure(self, prop: str) -> tuple[int, int, int, int] | None:
         problem = self.problem
@@ -594,7 +599,6 @@ def _search_split(ts, tau, mode, kappa, budget) -> ModificationPlan | None:
     # every candidate has the same state order and the same arc endpoints,
     # so they and the BFS tree over them are computed once
     order, base = _split_frame(ts)
-    states = tuple(ts.states[s] for s in order)
     tree = spanning_tree(len(order), 0, base) if is_linear(tau) else None
     # the last failing atom, rechecked first: it usually refutes the next
     # candidate too.  (SSP, s, s') or (ESSP, (e, g), s)
@@ -627,11 +631,10 @@ def _search_split(ts, tau, mode, kappa, budget) -> ModificationPlan | None:
         for pi in watchers.get(a, ()):
             countdown[pi] += 1
 
-    def emit(labels, split_events) -> ModificationPlan | None:
+    def emit(split_events) -> ModificationPlan | None:
         nonlocal sticky
         arcs, event_at = _split_arcs(base, grp)
-        events = tuple(labels[eg] for eg in event_at)
-        check = _check(tau, budget, False, states, events, 0, arcs, tree)
+        check = _check(tau, budget, False, len(order), len(event_at), 0, arcs, tree)
         if sticky is not None:
             kind, a, b = sticky
             if kind == ESSP:
@@ -664,7 +667,6 @@ def _search_split(ts, tau, mode, kappa, budget) -> ModificationPlan | None:
             for a in watch:
                 watchers.setdefault(a, []).append(pi)
         split_events = [e for e in range(n_events) if extra[e] > 0]
-        labels = _split_labels(ts, {e: extra[e] + 1 for e in split_events})
 
         # each split event's occurrences as a restricted-growth string into
         # exactly its group count, event after event, over an explicit stack
@@ -682,7 +684,7 @@ def _search_split(ts, tau, mode, kappa, budget) -> ModificationPlan | None:
         i = 0
         while i >= 0:
             if i == n:
-                found = emit(labels, split_events)
+                found = emit(split_events)
                 if found is not None:
                     return found
                 i -= 1
@@ -847,8 +849,7 @@ def _search_removal(ts, tau, kind, mode, kappa, budget) -> ModificationPlan | No
             combo, removal = found
             resume = combo
             states, events, arc_origin, initial, arcs = _restrict(ts, *removal)
-            names = tuple(ts.states[s] for s in states), tuple(ts.events[e] for e in events)
-            check = _check(tau, budget, True, *names, initial, arcs)
+            check = _check(tau, budget, True, len(states), len(events), initial, arcs)
             _, gone_states, gone_events = removal
 
             if last_fail is not None and _atom_alive(last_fail, *removal):

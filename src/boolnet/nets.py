@@ -55,6 +55,8 @@ class BooleanNet:
             raise ParseError("duplicate transition name")
         if len(m0) != len(places):
             raise ParseError("initial marking arity differs from place count")
+        if any(b not in (0, 1) for b in m0):
+            raise ParseError("initial marking bits must be 0 or 1")
         for p in places:
             _check_ident(p, "place")
         for t in transitions:

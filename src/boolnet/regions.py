@@ -160,6 +160,8 @@ def property_for_mode(mode: str) -> str:
 def _check_domains(ts: TransitionSystem, region: Region) -> None:
     if set(region.support) != set(ts.states):
         raise DomainMismatch("support domain differs from state set")
+    if not set(region.support.values()) <= {0, 1}:
+        raise DomainMismatch("support values must be 0 or 1")
     if set(region.signature) != set(ts.events):
         raise DomainMismatch("signature domain differs from event set")
 
@@ -279,15 +281,16 @@ class CompiledProblem:
         b: int,
         budget: NodeBudget | None = None,
         collect_touched: bool = False,
-    ) -> tuple[list[int] | None, list[int] | None, bytearray | None]:
+    ) -> tuple[list[int] | None, list[int] | None, int]:
         """Run the kernel on the atom (kind, a, b) in kernel indices.
 
-        Returns (support bits, signature tag ids, touched), with None for
-        both when the atom is refuted; charges the budget and raises
-        SearchBudgetExceeded when it runs out.
+        Returns (support bits, signature tag ids, core), with None for both
+        when the atom is refuted; core is the refutation core as a bitmask
+        over ts.arcs when asked for (collect_touched), and 0 otherwise.
+        Charges the budget and raises SearchBudgetExceeded when it runs out.
         """
         limit = -1 if budget is None else budget.remaining()
-        status, sup, sig, nodes, touched = _kernel.solve(
+        status, sup, sig, nodes, core = _kernel.solve(
             self.handle, kind, a, b, limit, collect_touched
         )
         if budget is not None:
@@ -295,7 +298,7 @@ class CompiledProblem:
         if status == _kernel.BUDGET:
             # charge() above raised unless the limit maths drifted; be strict
             raise SearchBudgetExceeded(budget.used if budget else nodes)
-        return (sup, sig, touched)
+        return (sup, sig, core)
 
     def _region(self, sup: list[int], sig: list[int]) -> Region:
         """The named region of kernel support bits and signature tag ids."""
@@ -309,10 +312,10 @@ class CompiledProblem:
         atom: SeparationAtom,
         budget: NodeBudget | None = None,
         collect_touched: bool = False,
-    ) -> tuple[Region | None, bytearray | None]:
-        """`solve_index` for a named atom: (its region or None, touched)."""
-        sup, sig, touched = self.solve_index(*self.atom_args(atom), budget, collect_touched)
-        return (None if sup is None else self._region(sup, sig), touched)
+    ) -> tuple[Region | None, int]:
+        """`solve_index` for a named atom: (its region or None, core bitmask)."""
+        sup, sig, core = self.solve_index(*self.atom_args(atom), budget, collect_touched)
+        return (None if sup is None else self._region(sup, sig), core)
 
 
 def _bits(mask: int):

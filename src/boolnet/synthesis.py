@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EventSetMismatch, VerificationFailed
+from .errors import DomainMismatch, EventSetMismatch, VerificationFailed
 from .interactions import BooleanType
 from .nets import BooleanNet, reachability_graph
 from .regions import (
@@ -35,13 +35,14 @@ def net_from_witness(
     ts: TransitionSystem, tau: BooleanType, witness: Witness, name: str | None = None
 ) -> BooleanNet:
     """Build the synthesized net: one place per region (named R1, R2, ... in
-    witness order), one transition per event."""
+    witness order), one transition per event.  A region that lacks one of
+    the system's events or its initial state raises DomainMismatch."""
     places = tuple(f"R{k + 1}" for k in range(len(witness.regions)))
-    flow = {}
-    for k, region in enumerate(witness.regions):
-        for e in ts.events:
-            flow[(places[k], e)] = region.signature[e]
-    m0 = tuple(r.support[ts.initial_state] for r in witness.regions)
+    try:
+        flow = {(p, e): r.signature[e] for p, r in zip(places, witness.regions) for e in ts.events}
+        m0 = tuple(r.support[ts.initial_state] for r in witness.regions)
+    except KeyError as missing:
+        raise DomainMismatch(f"a witness region lacks {missing.args[0]!r}") from None
     return BooleanNet(name, tau, places, ts.events, flow, m0)
 
 

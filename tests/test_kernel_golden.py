@@ -8,7 +8,9 @@ it was rewritten as a loop over an explicit stack.  GOLDEN_WIDE covers what
 GOLDEN does not: the same corpus solved without a refutation core, and
 reachability graphs with more than 64 arcs, whose arc masks outgrow one
 machine word, solved both with and without one.  It was recorded before propagation was fused into one
-loop.
+loop.  Both were recorded when the kernel returned its core as a bytearray
+with one byte per arc, or None when no core was asked for; `rendered`
+turns today's bitmask back into that form before hashing.
 """
 
 import hashlib
@@ -56,6 +58,16 @@ def atom_list(ts):
     return out
 
 
+def rendered(result, n_arcs, collect_touched):
+    """A solve result with its core bitmask as the recorded bytearray."""
+    core = None
+    if collect_touched:
+        core = bytearray(n_arcs)
+        for a in range(n_arcs):
+            core[a] = (result[4] >> a) & 1
+    return result[:4] + (core,)
+
+
 def corpus_digest(collect_touched=True, trials=400, seed=51):
     rng = random.Random(seed)
     h = hashlib.sha256()
@@ -65,7 +77,8 @@ def corpus_digest(collect_touched=True, trials=400, seed=51):
         p = prepared(ts, tau)
         for kind, a, b in atom_list(ts):
             for limit in LIMITS:
-                h.update(repr(_solver_py.solve(p, kind, a, b, limit, collect_touched)).encode())
+                result = _solver_py.solve(p, kind, a, b, limit, collect_touched)
+                h.update(repr(rendered(result, len(ts.arcs), collect_touched)).encode())
     return h.hexdigest()
 
 
@@ -91,7 +104,8 @@ def wide_digest(trials=40, atoms_each=25, seed=52):
         for kind, a, b in rng.sample(atom_list(ts), atoms_each):
             for limit in (-1, 0, 7, 60):
                 for collect_touched in (False, True):
-                    h.update(repr(_solver_py.solve(p, kind, a, b, limit, collect_touched)).encode())
+                    result = _solver_py.solve(p, kind, a, b, limit, collect_touched)
+                    h.update(repr(rendered(result, len(ts.arcs), collect_touched)).encode())
     return h.hexdigest()
 
 

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import boolnet as bn
+from boolnet import modify
 from boolnet.modify import _split_labels
 import oracles
 
@@ -40,6 +41,14 @@ def test_plan_constructor_rejects_another_kinds_payload(kind, payload, stray):
     # not parse back
     with pytest.raises(bn.ParseError, match=stray):
         bn.ModificationPlan(kind=kind, cost=1, **payload)
+
+
+def test_plan_cost_is_never_negative():
+    with pytest.raises(bn.ParseError, match="negative plan cost"):
+        bn.ModificationPlan(kind="edge", cost=-3)
+    with pytest.raises(bn.ParseError, match="negative plan cost"):
+        bn.parse_plan("plan edge cost -3\n")
+    assert bn.parse_plan("plan edge cost 0\n") == bn.ModificationPlan(kind="edge", cost=0)
 
 
 def test_split_plan_cost():
@@ -361,8 +370,11 @@ def test_split_search_handles_long_event_runs():
 
 def test_decide_stays_in_index_space(monkeypatch):
     # the searches reach the solver only through solve_index and
-    # decide_property, and build their candidates without names
+    # decide_property, and build their candidates without names: not even
+    # the split search's labels, under a linear type or the kernel's
+    # {nop,inp,set} (the fast path answers {nop,set,res,swap} splits)
     rng = random.Random(4242)
+    tau_kernel = bn.BooleanType.of("nop", "inp", "set")
     cases = []
     for i in range(12):
         ts = oracles.random_ts(rng, max_states=5, max_events=3)
@@ -372,14 +384,18 @@ def test_decide_stays_in_index_space(monkeypatch):
             for mode in bn.MODES:
                 for kappa in (base, base + 1, base + 2):
                     cases.append((ts, tau, kind, mode, kappa))
+                    if kind == "split":
+                        cases.append((ts, tau_kernel, kind, mode, kappa))
     want = [bn.decide(*case, node_limit=0) for case in cases]
     assert any(plan is None for plan in want) and any(plan is not None for plan in want)
+    assert any(plan is not None and plan.kind == "split" and not plan.is_noop() for plan in want)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a search left index space")
 
     monkeypatch.setattr(bn.CompiledProblem, "solve", refuse)
     monkeypatch.setattr(bn.TransitionSystem, "build", refuse)
+    monkeypatch.setattr(modify, "_split_labels", refuse)
     assert [bn.decide(*case, node_limit=0) for case in cases] == want
 
 

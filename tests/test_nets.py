@@ -59,6 +59,11 @@ def test_constructor_rejections():
     # implicit nop requires nop in the type
     with pytest.raises(bn.ParseError):
         bn.BooleanNet(None, bn.BooleanType.of("swap"), ("p",), ("t",), {}, (0,))
+    # an initial marking bit other than 0 or 1 would name the initial state
+    # (2) and fail to fire
+    for bit in (2, -1, 1.5, "x", None):
+        with pytest.raises(bn.ParseError, match="0 or 1"):
+            bn.BooleanNet(None, TAU, ("p",), ("t",), {("p", "t"): "inp"}, (bit,))
 
 
 def test_reachability_golden():

@@ -1,8 +1,11 @@
 """The benchmark harness in perfbench/ traces library entry points by name,
-from outside the library.  A rename or move that would break it fails here.
+from outside the library, and reads the kernel's result tuple by position.
+A rename, move or reshuffle that would break it fails here.
 """
 
+import random
 import sys
+import warnings
 from pathlib import Path
 
 import boolnet as bn
@@ -28,3 +31,29 @@ def test_every_traced_layer_binds_and_is_restored():
     assert counts["modify.fast_path.calls"] == 2
     assert counts["regions.decide_property.calls"] > 0
     assert counts["kernel.solve.calls"] > 0
+
+
+def test_kernel_counters_match_the_search():
+    # the tracer reads status (result[0]) and nodes (result[3]) of each
+    # kernel solve: over one decide_property they must add up to the
+    # budget's charge and, on a witness, to one found region per solve
+    tau = bn.BooleanType.of("nop", "set", "res", "swap")
+    rng = random.Random(77)
+    graphs = []
+    while len(graphs) < 5:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # transitions that never fire are dropped
+            ts = bn.reachability_graph(oracles.random_net(rng, tau))
+        if len(ts.states) > 2:
+            graphs.append(ts)
+    for ts in graphs:
+        budget = bn.NodeBudget()
+        with tracer.Tracer(bn.regions._kernel) as trace:
+            trace.begin(0)
+            witness = bn.decide_property(ts, tau, "both", budget)
+            trace.end()
+        assert isinstance(witness, bn.Witness)
+        counts = trace.metrics()
+        assert counts["kernel.solve.calls"] == len(witness.regions) > 0
+        assert counts["kernel.solve.nodes"] == budget.used
+        assert counts["kernel.solve.found"] == len(witness.regions)

@@ -55,6 +55,9 @@ def test_validate_region():
         bn.validate_region(ts, TAU, bn.Region({"t0": 0}, {"a": "nop"}))
     with pytest.raises(bn.DomainMismatch):
         bn.validate_region(ts, TAU, bn.Region({"t0": 0, "t1": 0, "t2": 0}, {"b": "nop"}))
+    for value in (2, -1):
+        with pytest.raises(bn.DomainMismatch, match="0 or 1"):
+            bn.validate_region(ts, TAU, bn.Region({"t0": value, "t1": 0, "t2": 0}, {"a": "nop"}))
 
 
 def test_complete_region():
@@ -92,6 +95,46 @@ def test_solve_atom_matches_enumeration():
                 got = bn.solve_atom(ts, tau, atom)
                 want = oracles.brute_solve_atom(ts, tau, (atom.kind, atom.first, atom.second), regions)
                 assert (got is not None) == want, (atom, str(tau))
+
+
+# types with set or res, whose cores the removal search prunes with
+CORE_TAUS = [
+    bn.BooleanType.of("nop", "set", "res", "swap"),
+    bn.BooleanType.of("nop", "inp", "set"),
+    bn.BooleanType.of("nop", "out", "res", "swap"),
+    bn.BooleanType.of("nop", "set", "used", "free"),
+    bn.BooleanType.of("nop", "inp", "out", "set", "res"),
+]
+
+
+def test_kernel_cores_are_sound():
+    # a refuted atom stays refuted, by brute-force enumeration, on every
+    # reachable edge-removal candidate that keeps the core's arcs
+    rng = random.Random(4871)
+    checked = 0
+    for trial in range(120):
+        ts = oracles.random_ts(rng, max_states=7, max_events=3)
+        tau = CORE_TAUS[trial % len(CORE_TAUS)]
+        problem = bn.CompiledProblem(ts, tau)
+        for atom in bn.atoms(ts):
+            sup, _, core = problem.solve_index(*problem.atom_args(atom), collect_touched=True)
+            if sup is not None:
+                assert core == 0
+                continue
+            assert core >> len(ts.arcs) == 0
+            for _ in range(4):
+                keep = [a for a in range(len(ts.arcs)) if (core >> a) & 1 or rng.random() < 0.5]
+                try:
+                    cand = bn.TransitionSystem.build(
+                        ts.initial_state, [ts.arc_names(a) for a in keep],
+                        states=ts.states, events=ts.events,
+                    )
+                except (bn.Unreachable, bn.UselessEvent):
+                    continue
+                named = (atom.kind, atom.first, atom.second)
+                assert not oracles.brute_solve_atom(cand, tau, named), (str(tau), atom, keep)
+                checked += 1
+    assert checked > 2000
 
 
 def test_decide_property_failure_is_canonical():

@@ -29,6 +29,14 @@ def test_net_from_witness_structure():
     assert net.flow[("R2", "a'")] == w.regions[1].signature["a'"]
 
 
+def test_net_from_witness_rejects_a_region_without_an_event():
+    ts = splittable()
+    w = bn.decide_property(ts, TAU, "both")
+    del w.regions[1].signature["a'"]
+    with pytest.raises(bn.DomainMismatch, match="a'"):
+        bn.net_from_witness(ts, TAU, w)
+
+
 def test_synthesize_realize_golden():
     res = bn.synthesize(splittable(), TAU, "realize")
     assert isinstance(res, bn.SynthesisResult)
