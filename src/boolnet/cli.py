@@ -13,6 +13,7 @@ import warnings
 
 from .errors import BoolnetError, ParseError, SearchBudgetExceeded
 from .gadgets import (
+    VARIANTS,
     GadgetSpec,
     Graph3B,
     brute_force_vc,
@@ -21,9 +22,10 @@ from .gadgets import (
     parse_graph,
 )
 from .interactions import BooleanType
-from .modify import apply_plan, decide, resolve_node_limit, serialize_plan
+from .modify import KINDS, apply_plan, decide, resolve_node_limit, serialize_plan
 from .nets import net_to_dot, parse_net, reachability_graph, serialize_net
 from .regions import (
+    PROPERTIES,
     NodeBudget,
     SeparationAtom,
     Witness,
@@ -33,7 +35,7 @@ from .regions import (
     Region,
 )
 from .synthesis import synthesize
-from .ts import parse_ts, serialize_ts, ts_to_dot
+from .ts import MODES, parse_ts, serialize_ts, ts_to_dot
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -251,14 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
 
     sp = sub.add_parser("check", help="decide a separation property")
-    sp.add_argument("--prop", choices=("ssp", "essp", "both"), required=True)
+    sp.add_argument("--prop", choices=PROPERTIES, required=True)
     sp.add_argument("--type", required=True, help="comma-separated interaction names")
     sp.add_argument("ts", help="transition-system file")
     common(sp, ("regions",))
     sp.set_defaults(fn=_cmd_check)
 
     sp = sub.add_parser("synth", help="synthesize a net for a mode")
-    sp.add_argument("--mode", choices=("embed", "langsim", "realize"), required=True)
+    sp.add_argument("--mode", choices=MODES, required=True)
     sp.add_argument("--type", required=True)
     sp.add_argument("ts")
     common(sp, ("net", "dot"))
@@ -270,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_simulate)
 
     sp = sub.add_parser("modify", help="decide a budgeted modification")
-    sp.add_argument("--kind", choices=("split", "edge", "event", "state"), required=True)
-    sp.add_argument("--mode", choices=("embed", "langsim", "realize"), required=True)
+    sp.add_argument("--kind", choices=KINDS, required=True)
+    sp.add_argument("--mode", choices=MODES, required=True)
     sp.add_argument("--kappa", type=_nonnegative, required=True)
     sp.add_argument("--type", required=True)
     sp.add_argument("ts")
@@ -279,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_modify)
 
     sp = sub.add_parser("gadget", help="build a reduction gadget")
-    sp.add_argument("--problem", choices=("split", "edge", "event", "state"), required=True)
-    sp.add_argument("--variant", choices=("directed", "bidirectional"), default="directed")
+    sp.add_argument("--problem", choices=KINDS, required=True)
+    sp.add_argument("--variant", choices=VARIANTS, default="directed")
     sp.add_argument("--lambda", dest="lam", type=int, required=True)
     sp.add_argument("graph")
     common(sp, ("ts", "dot"))

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 from .errors import LambdaOutOfRange, NotACover, ParseError, UnknownId
 from .interactions import BooleanType
-from .modify import ModificationPlan, apply_plan, decide
+from .modify import KINDS, ModificationPlan, apply_plan, decide
 from .regions import decide_property, property_for_mode, Witness
-from .ts import TransitionSystem
+from .ts import TransitionSystem, token_lines
 
-PROBLEMS = ("split", "edge", "event", "state")
 VARIANTS = ("directed", "bidirectional")
 
 
@@ -92,11 +91,7 @@ def parse_graph(text: str) -> Graph3B:
     vertices: list[str] = []
     edges: list[tuple[str, str]] = []
     saw_vertex_lines = False
-    for no, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for no, parts in token_lines(text):
         if parts[0] == "graph":
             if len(parts) != 2:
                 raise ParseError(f"line {no}: expected `graph <name>`")
@@ -161,7 +156,7 @@ class GadgetSpec:
     lam: int
 
     def __post_init__(self):
-        if self.problem not in PROBLEMS:
+        if self.problem not in KINDS:
             raise ParseError(f"unknown gadget problem {self.problem!r}")
         if self.variant not in VARIANTS:
             raise ParseError(f"unknown gadget variant {self.variant!r}")

@@ -121,22 +121,16 @@ def type_ts(tau: BooleanType):
 
     Returned as a TransitionSystem with states "0", "1" and initial "0".
     Note the result is not always a valid system of this package's core class
-    (an interaction set like {inp} leaves "1" unreachable), so validation is
-    relaxed to determinism-only here.
+    (an interaction set like {inp} leaves "1" unreachable), so it comes from
+    the constructor, which checks determinism only.
     """
     from .ts import TransitionSystem
 
+    tags = tau.canonical()
     arcs = []
-    for tag in tau.canonical():
+    for e, tag in enumerate(tags):
         for x in (0, 1):
             y = _APPLY[tag][x]
             if y is not None:
-                arcs.append((str(x), tag, str(y)))
-    return TransitionSystem.build(
-        initial="0",
-        arcs=arcs,
-        states=("0", "1"),
-        events=tau.canonical(),
-        name=f"type[{tau}]",
-        relaxed=True,
-    )
+                arcs.append((x, e, y))
+    return TransitionSystem(f"type[{tau}]", ("0", "1"), tags, 0, tuple(arcs))

@@ -10,11 +10,12 @@ a partial tag adds only that every source of its event has one support c,
 and a state where the event is missing then has support 1 + c exactly when
 the region solves that ESSP atom.
 
-Take a BFS tree from the initial state.  Each state v gets the parity
-vector p_v of the events on its tree path, so sup(v) = sup(ι) + p_v·x.  A
-tree arc holds by construction; every other arc (s, e, t) adds the cycle
-constraint (p_s + p_t + e)·x = 0.  The constraints are kept in reduced
-echelon form over the event bits (`_Basis`), and C is their span.
+Take a BFS tree from the initial state (`ts.spanning_tree`).  Each state v
+gets the parity vector p_v of the events on its tree path, so
+sup(v) = sup(ι) + p_v·x.  A tree arc holds by construction; every other arc
+(s, e, t) adds the cycle constraint (p_s + p_t + e)·x = 0.  The constraints
+are kept in reduced echelon form over the event bits (`_Basis`), and C is
+their span.
 
 - SSP(s, t) is unsolvable exactly when p_s + p_t lies in C, that is, when
   p_s and p_t reduce to the same row.  States with equal reduced rows form
@@ -56,6 +57,7 @@ from __future__ import annotations
 
 from .interactions import BooleanType
 from .regions import ESSP, SSP, NodeBudget
+from .ts import spanning_tree
 
 LINEAR_TAGS = frozenset(("nop", "swap", "inp", "out", "used", "free"))
 
@@ -65,30 +67,6 @@ _PARTIAL_BIT = {"inp": 1, "out": 1, "used": 0, "free": 0}
 
 def is_linear(tau: BooleanType) -> bool:
     return "nop" in tau.tags and "swap" in tau.tags and tau.tags <= LINEAR_TAGS
-
-
-def spanning_tree(n_states: int, initial: int, arcs) -> tuple[list, list]:
-    """A BFS tree from the initial state along the arcs: (state, tree arc)
-    in BFS order without the initial state, and the other arcs (chords).
-    Every state must be reachable."""
-    out: list[list[int]] = [[] for _ in range(n_states)]
-    for a, arc in enumerate(arcs):
-        out[arc[0]].append(a)
-    seen = [False] * n_states
-    seen[initial] = True
-    queue = [initial]
-    order = []
-    chords = []
-    for s in queue:
-        for a in out[s]:
-            d = arcs[a][2]
-            if seen[d]:
-                chords.append(a)
-            else:
-                seen[d] = True
-                queue.append(d)
-                order.append((d, a))
-    return order, chords
 
 
 class _Basis:
@@ -130,9 +108,9 @@ class _Basis:
 
 class LinearProblem:
     """The atoms of one system under a linear type (see the module
-    docstring), from its index arcs: (src, event, dst) triples.
+    docstring), from its index arcs: (src, event, dst) triples.  Every state
+    must be reachable from the initial one.
 
-    tree is spanning_tree's result for these arcs, when the caller has it.
     With cores off, `refute` and `first_failure` report 0 as the core.
     """
 
@@ -148,7 +126,6 @@ class LinearProblem:
         tau: BooleanType,
         budget: NodeBudget | None = None,
         cores: bool = False,
-        tree: tuple[list, list] | None = None,
     ):
         if not is_linear(tau):
             raise ValueError(f"type {tau} is not linear")
@@ -158,7 +135,10 @@ class LinearProblem:
         self.shift = shift = 2 * len(arcs) if cores else 0
         self.unit = unit = 1 if cores else 0
         self.xs = frozenset(_PARTIAL_BIT[t] for t in tau.tags if t in _PARTIAL_BIT)
-        order, chords = spanning_tree(n_states, initial, arcs) if tree is None else tree
+        out: list[list[int]] = [[] for _ in range(n_states)]
+        for a, arc in enumerate(arcs):
+            out[arc[0]].append(a)
+        order, chords = spanning_tree(initial, arcs, out)
         vec = [0] * n_states
         for v, a in order:
             s, e, _ = arcs[a]

@@ -19,10 +19,10 @@ original arcs its core used.
 
 The searches work in integer indices from the input system to the solver.
 Candidates are index arcs: a split candidate is the input's arcs with the
-group of each arc as its label (the state order, the arc endpoints and a
-BFS tree over them are computed once per search), a removal candidate the
-surviving arcs.  Each candidate is asked two questions through one check
-(_check): refute(kind, a, b), the refutation core of one atom or None, and
+group of each arc as its label (the state order and the arc endpoints are
+computed once per search), a removal candidate the surviving arcs.  Each
+candidate is asked two questions through one check (_check):
+refute(kind, a, b), the refutation core of one atom or None, and
 first_failure(prop), the first unsolvable atom in decide_property's order
 with its core, or None.  For a linear type (nop and swap plus any of inp,
 out, used, free; see boolnet.linear) the check is GF(2) elimination: no
@@ -47,17 +47,18 @@ from dataclasses import dataclass
 
 from .errors import InvalidPlan, ParseError, UnknownId
 from .interactions import BooleanType
-from .linear import LINEAR_TAGS, LinearProblem, is_linear, spanning_tree
+from .linear import LINEAR_TAGS, LinearProblem, is_linear
 from .regions import (
     ESSP,
     SSP,
     CompiledProblem,
     NodeBudget,
     Witness,
+    _bits,
     decide_property,
     property_for_mode,
 )
-from .ts import MODES, TransitionSystem
+from .ts import MODES, TransitionSystem, token_lines
 
 KINDS = ("split", "edge", "event", "state")
 
@@ -308,11 +309,7 @@ def parse_plan(text: str) -> ModificationPlan:
     edges: list[tuple[str, str, str]] = []
     events: list[str] = []
     states: list[str] = []
-    for no, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for no, parts in token_lines(text):
         if parts[0] == "plan":
             if kind is not None:
                 raise ParseError(f"line {no}: second plan header")
@@ -438,7 +435,7 @@ def _inseparable_pair(ts: TransitionSystem, tau: BooleanType, budget) -> str:
 # -- candidate checks ----------------------------------------------------------------
 
 
-def _check(tau, budget, cores, n_states, n_events, initial, arcs, tree=None):
+def _check(tau, budget, cores, n_states, n_events, initial, arcs):
     """The candidate check for the system with these state and event counts
     and index arcs: a LinearProblem when tau is linear, else the kernel.
 
@@ -446,10 +443,9 @@ def _check(tau, budget, cores, n_states, n_events, initial, arcs, tree=None):
     bitmask over the arcs or None when a region solves it, and
     first_failure(prop), (kind, a, b, core) of the first unsolvable atom in
     decide_property's order or None.  The core is 0 unless cores is set.
-    tree is linear.spanning_tree of the arcs, when the caller has it.
     """
     if is_linear(tau):
-        return LinearProblem(n_states, n_events, initial, arcs, tau, budget, cores, tree)
+        return LinearProblem(n_states, n_events, initial, arcs, tau, budget, cores)
     states, events = (tuple(map(str, range(n))) for n in (n_states, n_events))
     return _KernelCheck(TransitionSystem(None, states, events, initial, tuple(arcs)), tau, budget, cores)
 
@@ -597,9 +593,8 @@ def _search_split(ts, tau, mode, kappa, budget) -> ModificationPlan | None:
             watchable.add(alpha)
         patterns.append((a1, a2, a3, a4, alpha, watchable, need_ssp or alpha < 0))
     # every candidate has the same state order and the same arc endpoints,
-    # so they and the BFS tree over them are computed once
+    # so they are computed once
     order, base = _split_frame(ts)
-    tree = spanning_tree(len(order), 0, base) if is_linear(tau) else None
     # the last failing atom, rechecked first: it usually refutes the next
     # candidate too.  (SSP, s, s') or (ESSP, (e, g), s)
     sticky = None
@@ -634,7 +629,7 @@ def _search_split(ts, tau, mode, kappa, budget) -> ModificationPlan | None:
     def emit(split_events) -> ModificationPlan | None:
         nonlocal sticky
         arcs, event_at = _split_arcs(base, grp)
-        check = _check(tau, budget, False, len(order), len(event_at), 0, arcs, tree)
+        check = _check(tau, budget, False, len(order), len(event_at), 0, arcs)
         if sticky is not None:
             kind, a, b = sticky
             if kind == ESSP:
@@ -775,11 +770,7 @@ def _search_removal(ts, tau, kind, mode, kappa, budget) -> ModificationPlan | No
 
     def record_certificate(arc_origin, key, core):
         nonlocal hard_count, hard_full
-        mask = 0
-        while core:
-            low = core & -core
-            mask |= 1 << arc_origin[low.bit_length() - 1]
-            core ^= low
+        mask = _mask_of(arc_origin[a] for a in _bits(core))
         if (key, mask) in cert_seen:
             return
         cert_seen.add((key, mask))

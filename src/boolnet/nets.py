@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError, PlaceBoundExceeded, UnknownTransition
 from .interactions import BooleanType, apply_interaction, check_tag
-from .ts import TransitionSystem, _check_ident, _dot_quote
+from .ts import TransitionSystem, _check_ident, _dot_quote, token_lines
 
 # Marking tuples stay cheap well past a hundred places; the bound exists to
 # reject inputs so wide that no marking-space exploration could finish anyway.
@@ -198,11 +198,7 @@ def parse_net(text: str, strict: bool = False) -> BooleanNet:
     m0: list[int] = []
     transitions: list[str] = []
     flow: dict[tuple[str, str], str] = {}
-    for no, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for no, parts in token_lines(text):
         kw = parts[0]
         if kw == "net":
             if len(parts) != 2:

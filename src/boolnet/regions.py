@@ -16,13 +16,12 @@ regions, the one failure atom, and the coverage map when it is first read.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from . import _solver_py as _kernel
 from .errors import DomainMismatch, ParseError, SearchBudgetExceeded
 from .interactions import INTERACTIONS, BooleanType, apply_interaction, check_tag
-from .ts import TransitionSystem
+from .ts import TransitionSystem, spanning_tree, token_lines
 
 KERNEL = _kernel.KERNEL_NAME
 
@@ -160,7 +159,7 @@ def property_for_mode(mode: str) -> str:
 def _check_domains(ts: TransitionSystem, region: Region) -> None:
     if set(region.support) != set(ts.states):
         raise DomainMismatch("support domain differs from state set")
-    if not set(region.support.values()) <= {0, 1}:
+    if not all(isinstance(v, int) and v in (0, 1) for v in region.support.values()):
         raise DomainMismatch("support values must be 0 or 1")
     if set(region.signature) != set(ts.events):
         raise DomainMismatch("signature domain differs from event set")
@@ -191,6 +190,8 @@ def complete_region(
     is reachable this already determines the whole support, and a final pass
     over all arcs rejects any inconsistency (including odd cycles).
     """
+    if sup_iota not in (0, 1):
+        raise DomainMismatch(f"initial support {sup_iota!r} is not 0 or 1")
     if set(sig) != set(ts.events):
         raise DomainMismatch("signature domain differs from event set")
     for e, tag in sig.items():
@@ -198,20 +199,12 @@ def complete_region(
         if tag not in tau:
             raise DomainMismatch(f"signature value {tag!r} for {e!r} outside type {tau}")
     sup: dict[int, int] = {ts.initial: int(sup_iota)}
-    frontier = deque([ts.initial])
-    while frontier:
-        s = frontier.popleft()
-        for a in ts.out_arcs[s]:
-            _, ev, dst = ts.arcs[a]
-            v = apply_interaction(sig[ts.events[ev]], sup[s])
-            if v is None:
-                return None
-            if dst in sup:
-                if sup[dst] != v:
-                    return None
-            else:
-                sup[dst] = v
-                frontier.append(dst)
+    for dst, a in spanning_tree(ts.initial, ts.arcs, ts.out_arcs)[0]:
+        src, ev, _ = ts.arcs[a]
+        v = apply_interaction(sig[ts.events[ev]], sup[src])
+        if v is None:
+            return None
+        sup[dst] = v
     for a in range(len(ts.arcs)):
         src, ev, dst = ts.arcs[a]
         if apply_interaction(sig[ts.events[ev]], sup[src]) != sup[dst]:
@@ -461,11 +454,7 @@ def parse_regions(text: str) -> list[Region]:
         if sup is not None:
             regions.append(Region(support=sup, signature=sig or {}))
 
-    for no, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for no, parts in token_lines(text):
         if parts[0] == "region":
             if len(parts) != 1:
                 raise ParseError(f"line {no}: expected bare `region`")

@@ -8,7 +8,6 @@ package, which keeps all results reproducible.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -95,13 +94,11 @@ class TransitionSystem:
         states=None,
         events=None,
         name: str | None = None,
-        relaxed: bool = False,
     ) -> "TransitionSystem":
         """Build and validate a system from (src, event, dst) name triples.
 
         Explicit states/events fix the canonical order; otherwise it is the
-        order of first appearance (initial state first).  relaxed skips the
-        reachability and event-usefulness checks (used for type graphs).
+        order of first appearance (initial state first).
         """
         arcs = [tuple(a) for a in arcs]
         if initial is None:
@@ -141,15 +138,14 @@ class TransitionSystem:
             idx_arcs.append((sx[src], ex[ev], sx[dst]))
 
         ts = cls(name, tuple(sx), tuple(ex), sx[initial], tuple(idx_arcs))
-        if not relaxed:
-            ts._validate()
+        ts._validate()
         return ts
 
     def _validate(self) -> None:
-        reached = self.reachable_from(self.initial)
-        for i, s in enumerate(self.states):
-            if i not in reached:
-                raise Unreachable(s)
+        order, _ = spanning_tree(self.initial, self.arcs, self.out_arcs)
+        if len(order) + 1 < len(self.states):
+            reached = {self.initial, *(d for d, _ in order)}
+            raise Unreachable(next(s for i, s in enumerate(self.states) if i not in reached))
         for e, occ in zip(self.events, self.event_arcs):
             if not occ:
                 raise UselessEvent(e)
@@ -177,18 +173,6 @@ class TransitionSystem:
         src, ev, dst = self.arcs[a]
         return (self.states[src], self.events[ev], self.states[dst])
 
-    def reachable_from(self, start: int) -> set[int]:
-        seen = {start}
-        frontier = deque([start])
-        while frontier:
-            s = frontier.popleft()
-            for a in self.out_arcs[s]:
-                d = self.arcs[a][2]
-                if d not in seen:
-                    seen.add(d)
-                    frontier.append(d)
-        return seen
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TransitionSystem):
             return NotImplemented
@@ -207,7 +191,37 @@ class TransitionSystem:
         return f"<{label}: {len(self.states)} states, {len(self.events)} events, {len(self.arcs)} arcs>"
 
 
+def spanning_tree(initial: int, arcs, out_arcs) -> tuple[list, list]:
+    """A BFS tree from the initial state along index arcs, given each
+    state's out-arcs: (state, tree arc) in BFS order without the initial
+    state, and the arcs from reached states off the tree (chords)."""
+    seen = [False] * len(out_arcs)
+    seen[initial] = True
+    queue = [initial]
+    order = []
+    chords = []
+    for s in queue:
+        for a in out_arcs[s]:
+            d = arcs[a][2]
+            if seen[d]:
+                chords.append(a)
+            else:
+                seen[d] = True
+                queue.append(d)
+                order.append((d, a))
+    return order, chords
+
+
 # -- textual format --------------------------------------------------------------
+
+
+def token_lines(text: str):
+    """(line number, tokens) for each line of text with any tokens left once
+    its `#` comment is cut off."""
+    for no, raw in enumerate(text.splitlines(), 1):
+        parts = raw.split("#", 1)[0].split()
+        if parts:
+            yield no, parts
 
 
 def parse_ts(text: str) -> TransitionSystem:
@@ -219,11 +233,7 @@ def parse_ts(text: str) -> TransitionSystem:
     name = None
     initial = None
     arcs: list[tuple[str, str, str]] = []
-    for no, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for no, parts in token_lines(text):
         kw = parts[0]
         if kw == "ts":
             if len(parts) != 2:
@@ -324,22 +334,19 @@ def induced_simulation(a: TransitionSystem, b: TransitionSystem) -> SimulationMa
             f"source uses events missing from target: {sorted(set(a.events) - set(b.events))}"
         )
     ev_map = [b.event_index[e] for e in a.events]
+    order, chords = spanning_tree(a.initial, a.arcs, a.out_arcs)
     phi: dict[int, int] = {a.initial: b.initial}
-    frontier = deque([a.initial])
-    while frontier:
-        s = frontier.popleft()
-        t = phi[s]
-        for arc in a.out_arcs[s]:
-            _, ev, dst = a.arcs[arc]
-            tdst = b.delta.get((t, ev_map[ev]))
-            if tdst is None:
-                return None
-            known = phi.get(dst)
-            if known is None:
-                phi[dst] = tdst
-                frontier.append(dst)
-            elif known != tdst:
-                return None
+    delta = b.delta
+    for dst, arc in order:
+        src, ev, _ = a.arcs[arc]
+        t = delta.get((phi[src], ev_map[ev]))
+        if t is None:
+            return None
+        phi[dst] = t
+    for arc in chords:
+        src, ev, dst = a.arcs[arc]
+        if delta.get((phi[src], ev_map[ev])) != phi[dst]:
+            return None
     return SimulationMap(source=a, target=b, phi=phi)
 
 

@@ -1,5 +1,6 @@
 """Region validity, atom solving, property decisions."""
 
+import itertools
 import random
 
 import pytest
@@ -55,9 +56,11 @@ def test_validate_region():
         bn.validate_region(ts, TAU, bn.Region({"t0": 0}, {"a": "nop"}))
     with pytest.raises(bn.DomainMismatch):
         bn.validate_region(ts, TAU, bn.Region({"t0": 0, "t1": 0, "t2": 0}, {"b": "nop"}))
-    for value in (2, -1):
+    for value in (2, -1, 1.0, "1"):
         with pytest.raises(bn.DomainMismatch, match="0 or 1"):
             bn.validate_region(ts, TAU, bn.Region({"t0": value, "t1": 0, "t2": 0}, {"a": "nop"}))
+    # bools are ints
+    assert bn.validate_region(ts, TAU, bn.Region({"t0": False, "t1": True, "t2": 0}, {"a": "swap"}))
 
 
 def test_complete_region():
@@ -68,6 +71,42 @@ def test_complete_region():
     assert bn.complete_region(ts, TAU, 1, {"a": "inp"}) is None
     with pytest.raises(bn.DomainMismatch):
         bn.complete_region(ts, TAU, 0, {"zz": "nop"})
+
+
+def test_complete_region_rejects_an_initial_support_outside_0_1():
+    ts = bn.TransitionSystem.build(initial="a", arcs=[("a", "x", "b")])
+    tau = bn.BooleanType.of("nop", "swap")
+    for sup_iota in (2, -1):
+        with pytest.raises(bn.DomainMismatch, match="0 or 1"):
+            bn.complete_region(ts, tau, sup_iota, {"x": "swap"})
+
+
+def test_complete_region_matches_enumeration():
+    """complete_region over every (sup(ι), total signature) pair gives the
+    region brute-force enumeration finds for it, or None when there is none."""
+    rng = random.Random(4711)
+    taus = [
+        bn.BooleanType.of("nop", "inp", "swap"),
+        bn.BooleanType.of("nop", "set", "res", "swap"),
+        bn.BooleanType.of("nop", "out", "used", "free"),
+    ]
+    for tau in taus:
+        tags = tau.canonical()
+        for _ in range(20):
+            ts = oracles.random_ts(rng, max_states=6, max_events=4)
+            want = {
+                (sup[ts.initial_state], tuple(sig[e] for e in ts.events)): sup
+                for sup, sig in oracles.enumerate_regions(ts, tau)
+            }
+            for sup_iota in (0, 1):
+                for sig in itertools.product(tags, repeat=len(ts.events)):
+                    got = bn.complete_region(ts, tau, sup_iota, dict(zip(ts.events, sig)))
+                    ref = want.get((sup_iota, sig))
+                    if ref is None:
+                        assert got is None, (ts, str(tau), sup_iota, sig)
+                    else:
+                        assert got is not None and got.support == ref, (ts, str(tau), sup_iota, sig)
+                        assert bn.validate_region(ts, tau, got)
 
 
 def test_solve_atom_returns_validating_solver():

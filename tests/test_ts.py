@@ -46,6 +46,14 @@ def test_build_rejects_unreachable_state():
         bn.TransitionSystem.build(
             initial="a", arcs=[("a", "x", "a"), ("b", "x", "b")]
         )
+    # two unreachable states: the one with the lowest index is named
+    with pytest.raises(bn.Unreachable) as exc:
+        bn.TransitionSystem.build(
+            initial="a",
+            arcs=[("a", "x", "c"), ("d", "x", "b"), ("b", "x", "a")],
+            states=["a", "b", "c", "d"],
+        )
+    assert exc.value.state == "b"
 
 
 def test_build_rejects_useless_event():
