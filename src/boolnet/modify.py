@@ -5,17 +5,15 @@ fresh copies, or removing edges, events, or states.  decide() answers the
 corresponding decision problem exactly for a budget and implementation mode,
 returning a minimum-cost (canonically least) plan on yes.
 
-Search layout: label splitting iterates over total label counts, enumerating
-per-event group counts and then set partitions of each split event's
-occurrence list as restricted-growth strings, over an explicit stack;
-removals iterate over removal subsets in canonical order per cost level.
-Both searches stay exact; all pruning below is refutation-based and never
-skips a potentially satisfiable candidate.  For splits it is the even-walk
-patterns (_abab_patterns), compiled once per search into their watchable
-arcs and whether the intact walk refutes on its own, so a composition only
-rebuilds its watch lists and countdowns.  For removals it is the recorded
-refutation certificates, each a (key, mask) tuple: the atom and the
-original arcs its core used.
+Search layout: both searches walk, in lexicographic order over explicit
+stacks, only the candidates that meet every set of a refutation family, so
+they stay exact.  Splitting walks, per total label count, the per-event
+group counts that split an event of each refuting even-walk pattern
+(_hitting_compositions, _abab_patterns), then the split events' set
+partitions as restricted-growth strings.  Removal walks, per cost level, the
+subsets that hit every hard refutation certificate (_hitting_combos).  Node
+charges: one per composition reached or prefix cut, per group tried, and per
+item placed, plus each check's own.
 
 The searches work in integer indices from the input system to the solver.
 Candidates are index arcs: a split candidate is the input's arcs with the
@@ -44,6 +42,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 from .errors import InvalidPlan, ParseError, UnknownId
 from .interactions import BooleanType
@@ -587,11 +587,15 @@ def _search_split(ts, tau, mode, kappa, budget) -> ModificationPlan | None:
     # The walk flips a support an even number of times, which proves nothing
     # once set or res can overwrite it, so only tags within LINEAR_TAGS.
     patterns = []
+    masks = []  # per refuting pattern, its splittable events: one must split
     for a1, a2, a3, a4, alpha in _abab_patterns(ts) if tau.tags <= LINEAR_TAGS else ():
         watchable = {a1, a2, a3, a4}
         if need_essp and alpha >= 0:
             watchable.add(alpha)
-        patterns.append((a1, a2, a3, a4, alpha, watchable, need_ssp or alpha < 0))
+        refutes = need_ssp or alpha < 0
+        patterns.append((a1, a2, a3, a4, alpha, watchable, refutes))
+        if refutes:
+            masks.append(_mask_of(event_of[a] for a in watchable if tops[event_of[a]]))
     # every candidate has the same state order and the same arc endpoints,
     # so they are computed once
     order, base = _split_frame(ts)
@@ -654,10 +658,8 @@ def _search_split(ts, tau, mode, kappa, budget) -> ModificationPlan | None:
 
     def run_composition() -> ModificationPlan | None:
         watchers.clear()
-        for pi, (*_, watchable, refutes) in enumerate(patterns):
+        for pi, (*_, watchable, _) in enumerate(patterns):
             watch = [a for a in watchable if extra[event_of[a]]]
-            if not watch and refutes:
-                return None  # an intact walk refutes the composition outright
             countdown[pi] = len(watch)
             for a in watch:
                 watchers.setdefault(a, []).append(pi)
@@ -705,41 +707,50 @@ def _search_split(ts, tau, mode, kappa, budget) -> ModificationPlan | None:
 
     max_extra = min(kappa - n_events, sum(tops))
     for total in range(0, max_extra + 1):
-        for xs in _compositions(tops, total):
+        for xs in _hitting_compositions(tops, total, masks, budget):
             extra[:] = xs
-            budget.charge()
             found = run_composition()
             if found is not None:
                 return found
     return None
 
 
-def _compositions(tops: list[int], total: int):
-    """Every vector x with 0 <= x[i] <= tops[i] and sum total, in
-    lexicographic order.  Yields one list, updated in place."""
-    x = [0] * len(tops)
-
-    def pile(start: int, amount: int) -> bool:
-        # the least arrangement of amount over x[start:] fills it from the back
-        for i in range(len(tops) - 1, start - 1, -1):
-            x[i] = min(tops[i], amount)
-            amount -= x[i]
-        return amount == 0
-
-    if not pile(0, total):
+def _hitting_compositions(tops: list[int], total: int, masks: list[int], budget):
+    """Every vector x with 0 <= x[i] <= tops[i] and sum total whose split
+    set, the i with x[i] > 0, meets each bitmask of masks, in lexicographic
+    order.  Yields one list, updated in place.  The walk places only values
+    that leave the rest a feasible sum, and cuts a prefix once the least mask
+    it leaves unmet has no bit after it, so each cut skips at least one
+    vector.  Charges one node per vector yielded and one per prefix cut."""
+    n = len(tops)
+    room = [sum(tops[j:]) for j in range(n + 1)]  # the most x[j:] can hold
+    x = [0] * n
+    if total > room[0] or not n:
+        if not total and not masks:
+            budget.charge()
+            yield x
         return
-    while True:
-        yield x
-        # the rightmost position that can grow by taking one from its tail
-        tail = 0
-        for i in range(len(tops) - 1, -1, -1):
-            if tail and x[i] < tops[i]:
-                x[i] += 1
-                pile(i + 1, tail - 1)
-                break
-            tail += x[i]
+    left = [total] * (n + 1)  # what x[j:] must sum to
+    unmet = [sorted(set(masks))] * (n + 1)  # the masks x[:j] leaves unmet, least first
+    j, v = 0, total - room[1]  # v: the next value to try at position j
+    while j >= 0:
+        v = max(v, 0)
+        if v > min(tops[j], left[j]):
+            j -= 1
+            v = x[j] + 1
+            continue
+        x[j] = v
+        pending = unmet[j] if not v else [m for m in unmet[j] if not (m >> j) & 1]
+        if (pending and not pending[0] >> (j + 1)) or j == n - 1:
+            budget.charge()
+            if not pending:
+                yield x
+            v += 1
         else:
-            return
+            left[j + 1] = left[j] - v
+            unmet[j + 1] = pending
+            j += 1
+            v = left[j] - room[j + 1]
 
 
 # -- removal search -----------------------------------------------------------------
@@ -753,23 +764,16 @@ def _search_removal(ts, tau, kind, mode, kappa, budget) -> ModificationPlan | No
     last_fail: tuple | None = None  # atom key in original indices, see _atom_key
 
     # A certificate (key, mask) refutes the atom key (see _atom_key) on every
-    # candidate that keeps the atom and every arc of mask.  Certificates
-    # split two ways: ones whose atom survives every removal of this kind
-    # unless explicitly hit ("hard" — together they form a cover constraint
-    # every viable combo must satisfy), and ones whose atom only exists once
-    # a specific arc is removed ("soft" — checked per candidate).  The store
-    # only ever grows: refuting the same atom on a different candidate
-    # yields a different core, and every core is an independent rejection
-    # constraint.
+    # candidate that keeps the atom and every arc of mask.  A hard one's atom
+    # survives every removal of this kind unless an item hits it, so each
+    # viable combo must hit it: it is kept as the mask of the items that do.
+    # A soft one's atom exists only once its alpha arc is removed: it is
+    # checked per candidate.  The store only grows: each core refutes alone.
     cert_seen: set[tuple] = set()
-    hard_count = 0
+    hard: list[int] = []
     soft_list: list[tuple] = []
-    hit_bits = [0] * n_items  # hit_bits[i]: hard certs neutralised by item i
-    suffix_cover = [0] * (n_items + 1)
-    hard_full = 0
 
     def record_certificate(arc_origin, key, core):
-        nonlocal hard_count, hard_full
         mask = _mask_of(arc_origin[a] for a in _bits(core))
         if (key, mask) in cert_seen:
             return
@@ -777,71 +781,22 @@ def _search_removal(ts, tau, kind, mode, kappa, budget) -> ModificationPlan | No
         if key[3]:
             soft_list.append((key, mask))
             return
-        bit = 1 << hard_count
-        hard_count += 1
-        hard_full |= bit
-        for i, (_, item_mask, state_bit, event_bit) in enumerate(items):
-            # the item breaks the core, or takes the atom's state or event
-            if item_mask & mask or not _atom_alive(key, item_mask, state_bit, event_bit):
-                hit_bits[i] |= bit
-        acc = 0
-        for i in range(n_items - 1, -1, -1):
-            acc |= hit_bits[i]
-            suffix_cover[i] = acc
-
-    def leaf_ok(combo):
-        """Death/soft-certificate/reachability screening for a full combo."""
-        removal = _fold(items, combo)
-        removed_mask, gone_states, gone_events = removal
-        if _dead_event(event_masks, removed_mask, gone_events) >= 0:
-            return None
-        for key, mask in soft_list:
-            if not mask & removed_mask and _atom_alive(key, *removal):
-                return None
-        if _unreached_state(ts, removed_mask, gone_states) >= 0:
-            return None
-        return removal
-
-    def scan(start, slots, cover, prefix, bound):
-        """Lexicographically first combo of `slots` more items from `start`
-        on, after `bound` (the rest of the last combo tried, or None),
-        passing every filter, as (combo, removal) or None.
-
-        Enumerates index combos in lex order but descends only where the
-        remaining items can still neutralise every hard certificate, which
-        skips the dead bulk of the level wholesale.
-        """
-        if slots == 0:
-            if bound is not None:
-                return None  # this exact combo is the last one tried: skip it
-            removal = leaf_ok(prefix)
-            return None if removal is None else (prefix, removal)
-        i0 = start
-        if bound is not None and bound[0] > i0:
-            i0 = bound[0]
-        for i in range(i0, n_items - slots + 1):
-            budget.charge()
-            ncover = cover | hit_bits[i]
-            need = hard_full & ~ncover
-            if need and (slots == 1 or (need & ~suffix_cover[i + 1])):
-                continue
-            nb = bound[1:] if bound is not None and i == bound[0] else None
-            found = scan(i + 1, slots - 1, ncover, prefix + (i,), nb)
-            if found is not None:
-                return found
-        return None
+        # an item hits it when it breaks the core, or takes the atom's state or event
+        hits = (i for i, item in enumerate(items) if item[1] & mask or not _atom_alive(key, *item[1:]))
+        hard.append(_mask_of(hits))
 
     for cost in range(0, min(kappa, n_items) + 1):
-        resume = None
-        while True:
-            found = scan(0, cost, 0, (), resume)
-            if found is None:
-                break
-            combo, removal = found
-            resume = combo
+        for combo in _hitting_combos(n_items, cost, hard, budget):
+            removal = _fold(items, combo)
+            removed_mask, gone_states, gone_events = removal
+            if _dead_event(event_masks, removed_mask, gone_events) >= 0:
+                continue
+            if any(not mask & removed_mask and _atom_alive(key, *removal) for key, mask in soft_list):
+                continue
+            if _unreached_state(ts, removed_mask, gone_states) >= 0:
+                continue
             states, events, arc_origin, initial, arcs = _restrict(ts, *removal)
             check = _check(tau, budget, True, len(states), len(events), initial, arcs)
-            _, gone_states, gone_events = removal
 
             if last_fail is not None and _atom_alive(last_fail, *removal):
                 atom_kind, a, b, _ = last_fail
@@ -860,6 +815,49 @@ def _search_removal(ts, tau, kind, mode, kappa, budget) -> ModificationPlan | No
             last_fail = key
             record_certificate(arc_origin, key, core)
     return None
+
+
+def _hitting_combos(n_items: int, k: int, masks: list[int], budget):
+    """Every k-subset of range(n_items) meeting each bitmask of masks, which
+    the caller may extend between yields, as a sorted tuple, in lexicographic
+    order.  An item may not pass the least top bit of the masks the items
+    before it miss, and the last must meet them all.  Charges one node per
+    item placed."""
+    if not k:
+        if not masks:
+            yield ()
+        return
+    combo = [0] * k
+    unmet = [list(masks)] + [None] * (k - 1)  # the masks the items before each depth miss
+    seen = len(masks)
+    d = nxt = 0
+    while True:
+        pending = unmet[d]
+        if d == k - 1:
+            fits = reduce(and_, pending, (1 << n_items) - 1) >> nxt << nxt
+            if fits:
+                nxt = (fits & -fits).bit_length()
+                budget.charge()
+                combo[d] = nxt - 1
+                yield tuple(combo)
+                for m in masks[seen:]:  # arrived during the yield
+                    for j in range(k):
+                        unmet[j].append(m)
+                        if (m >> combo[j]) & 1:
+                            break
+                seen = len(masks)
+                continue
+        elif nxt <= n_items - k + d and nxt < min(pending, default=1 << n_items).bit_length():
+            budget.charge()
+            combo[d] = nxt
+            d += 1
+            nxt += 1
+            unmet[d] = [m for m in pending if not (m >> combo[d - 1]) & 1]
+            continue
+        if not d:
+            return
+        d -= 1
+        nxt = combo[d] + 1
 
 
 def _mask_of(arcs) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _solver_py as _kernel
-from .errors import DomainMismatch, ParseError, SearchBudgetExceeded
+from .errors import DomainMismatch, ParseError, SearchBudgetExceeded, Unreachable
 from .interactions import INTERACTIONS, BooleanType, apply_interaction, check_tag
 from .ts import TransitionSystem, spanning_tree, token_lines
 
@@ -188,7 +188,9 @@ def complete_region(
 
     Supports propagate along a BFS from the initial state; since every state
     is reachable this already determines the whole support, and a final pass
-    over all arcs rejects any inconsistency (including odd cycles).
+    over all arcs rejects any inconsistency (including odd cycles).  A system
+    from the TransitionSystem constructor may hold a state the BFS never
+    reaches: that raises Unreachable for the lowest-index one.
     """
     if sup_iota not in (0, 1):
         raise DomainMismatch(f"initial support {sup_iota!r} is not 0 or 1")
@@ -205,6 +207,8 @@ def complete_region(
         if v is None:
             return None
         sup[dst] = v
+    if len(sup) < len(ts.states):
+        raise Unreachable(ts.states[next(s for s in range(len(ts.states)) if s not in sup)])
     for a in range(len(ts.arcs)):
         src, ev, dst = ts.arcs[a]
         if apply_interaction(sig[ts.events[ev]], sup[src]) != sup[dst]:
@@ -356,12 +360,17 @@ def decide_property(
     The work is done in index space (see the module docstring): the next
     atom is the lowest pending bit of the first nonempty row, the kernel
     gets its indices, and names appear only in the returned regions, the
-    failure atom and the coverage map.
+    failure atom and the coverage map.  A problem passed in must be compiled
+    for this ts and tau; one compiled for another raises ValueError.
     """
     if prop not in PROPERTIES:
         raise ValueError(f"unknown property {prop!r}")
     if problem is None:
         problem = CompiledProblem(ts, tau)
+    elif problem.ts is not ts and problem.ts != ts:
+        raise ValueError("problem was compiled for another system")
+    elif problem.tau != tau:
+        raise ValueError(f"problem was compiled for type {problem.tau}, not {tau}")
     n = len(ts.states)
     full = (1 << n) - 1
     # rows in processing order: (kernel kind, event or state index), and the

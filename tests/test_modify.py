@@ -1,13 +1,15 @@
 """Budgeted modification plans and the exact decision solvers."""
 
+import itertools
 import random
 import sys
+from math import comb
 
 import pytest
 
 import boolnet as bn
 from boolnet import modify
-from boolnet.modify import _split_labels
+from boolnet.modify import _hitting_combos, _hitting_compositions, _split_labels
 import oracles
 
 TAU_D = bn.BooleanType.of("nop", "inp", "swap")
@@ -366,6 +368,96 @@ def test_split_search_handles_long_event_runs():
     with pytest.raises(bn.SearchBudgetExceeded) as info:
         bn.decide(ts, TAU_D, "split", "langsim", 3, node_limit=10_000)
     assert info.value.nodes == 10_001
+
+
+def meets_all(chosen, masks):
+    return all(any((m >> i) & 1 for i in chosen) for m in masks)
+
+
+def test_hitting_compositions_match_a_filter_of_product():
+    """The split search's walk yields exactly the bounded vectors of the sum
+    whose split set meets every mask, in lexicographic order.  Besides one
+    node per vector it yields, it charges one per cut prefix: a prefix that
+    a vector of the sum extends, that leaves a mask with no bit after it
+    unmet, and whose own prefix does not.  So it charges no more nodes than
+    the vectors it yields and skips."""
+
+    def dead(prefix, masks):
+        split = [i for i, v in enumerate(prefix) if v]
+        return any(not meets_all(split, [m]) and not m >> len(prefix) for m in masks)
+
+    rng = random.Random(2013)
+    skipped = 0
+    for _ in range(300):
+        n = rng.randint(0, 5)
+        tops = [rng.randint(0, 3) for _ in range(n)]
+        masks = [rng.randrange(1 << n) for _ in range(rng.randint(0, 4))]
+        cuts = [0] * (sum(tops) + 2)  # per total
+        for length in range(1, n + 1):
+            room = sum(tops[length:])
+            for prefix in itertools.product(*(range(t + 1) for t in tops[:length])):
+                if dead(prefix, masks) and (length == 1 or not dead(prefix[:-1], masks)):
+                    for total in range(sum(prefix), sum(prefix) + room + 1):
+                        cuts[total] += 1
+        for total in range(sum(tops) + 2):
+            budget = bn.NodeBudget()
+            got = [tuple(x) for x in _hitting_compositions(tops, total, masks, budget)]
+            every = [
+                x for x in itertools.product(*(range(t + 1) for t in tops)) if sum(x) == total
+            ]
+            want = [x for x in every if meets_all([i for i in range(n) if x[i]], masks)]
+            assert got == want, (tops, total, masks)
+            assert budget.used == len(got) + cuts[total] <= len(every), (tops, total, masks)
+            skipped += len(every) - len(want)
+    assert skipped > 1000
+
+
+def test_hitting_combos_match_a_filter_of_combinations():
+    """The removal search's walk yields exactly the k-subsets that meet every
+    mask known when it reaches them, in lexicographic order, with masks
+    arriving between yields.  It charges one node per item placed: with a
+    fixed family, one per subset it yields and one per shorter prefix that
+    can still grow into k items and leaves no mask without a later bit;
+    always at most the unpruned walk's placements less one per subset it
+    skips."""
+    rng = random.Random(61)
+    skipped = 0
+    for _ in range(600):
+        n = rng.randint(1, 8)
+        k = rng.randint(1, n)
+        masks = [rng.randrange(1 << n) for _ in range(rng.randint(0, 2))]
+        fixed = list(masks)
+        budget = bn.NodeBudget()
+        yielded = len(list(_hitting_combos(n, k, fixed, budget)))
+        placed = sum(
+            1
+            for d in range(1, k)
+            for p in itertools.combinations(range(n - k + d), d)
+            if all(meets_all(p, [m]) or m >> (p[-1] + 1) for m in fixed)
+        )
+        assert budget.used == yielded + placed, (n, k, fixed)
+
+        known = [len(masks)]  # masks known before each yield, and at the end
+        budget = bn.NodeBudget()
+        got = []
+        for combo in _hitting_combos(n, k, masks, budget):
+            got.append(combo)
+            if rng.random() < 0.4:
+                masks.append(rng.randrange(1, 1 << n))
+            known.append(len(masks))
+        want = []
+        for combo in itertools.combinations(range(n), k):
+            if meets_all(combo, masks[: known[len(want)]]):
+                want.append(combo)
+        assert got == want, (n, k, masks)
+        unpruned = sum(comb(n - k + d, d) for d in range(1, k + 1))
+        rejected = comb(n, k) - len(want)
+        assert budget.used <= unpruned - rejected, (n, k, masks)
+        skipped += rejected
+    assert skipped > 1000
+    # the empty subset meets no mask
+    assert list(_hitting_combos(3, 0, [], bn.NodeBudget())) == [()]
+    assert list(_hitting_combos(3, 0, [1], bn.NodeBudget())) == []
 
 
 def test_decide_stays_in_index_space(monkeypatch):

@@ -81,6 +81,20 @@ def test_complete_region_rejects_an_initial_support_outside_0_1():
             bn.complete_region(ts, tau, sup_iota, {"x": "swap"})
 
 
+def test_complete_region_raises_unreachable_on_a_relaxed_system():
+    """The constructor admits states the initial state does not reach; the
+    lowest-index one is named, not a bare KeyError from the arc check."""
+    tau = bn.BooleanType.of("nop", "swap")
+    ts = bn.TransitionSystem(None, ("a", "b"), ("x",), 0, ((1, 0, 0),))
+    with pytest.raises(bn.Unreachable) as exc:
+        bn.complete_region(ts, tau, 0, {"x": "nop"})
+    assert exc.value.state == "b"
+    ts = bn.TransitionSystem(None, ("a", "b", "c"), ("x",), 0, ((2, 0, 1), (1, 0, 0)))
+    with pytest.raises(bn.Unreachable) as exc:
+        bn.complete_region(ts, tau, 1, {"x": "swap"})
+    assert exc.value.state == "b"
+
+
 def test_complete_region_matches_enumeration():
     """complete_region over every (sup(ι), total signature) pair gives the
     region brute-force enumeration finds for it, or None when there is none."""
@@ -230,6 +244,23 @@ def test_decide_property_witness_covers_every_atom():
 def test_decide_property_rejects_unknown_property():
     with pytest.raises(ValueError):
         bn.decide_property(walkthrough(), TAU, "szzp")
+
+
+def test_decide_property_rejects_a_problem_for_another_system():
+    ts = walkthrough()
+    other = bn.TransitionSystem.build(initial="t0", arcs=[("t0", "a", "t1")])
+    with pytest.raises(ValueError, match="another system"):
+        bn.decide_property(ts, TAU, "both", problem=bn.CompiledProblem(other, TAU))
+    # an equal system compiled separately is the same problem
+    twin = bn.CompiledProblem(walkthrough(), TAU)
+    assert str(bn.decide_property(ts, TAU, "both", problem=twin)) == "(t0,t2)"
+
+
+def test_decide_property_rejects_a_problem_for_another_type():
+    ts = walkthrough()
+    other = bn.BooleanType.of("nop", "set", "res", "swap")
+    with pytest.raises(ValueError, match="compiled for type"):
+        bn.decide_property(ts, TAU, "both", problem=bn.CompiledProblem(ts, other))
 
 
 def test_has_property_agrees_with_decide_property():
