@@ -23,14 +23,16 @@ refutation core, a bitmask over the arcs (bit a for arc a): any system that
 keeps all those arcs (and the atom) refutes the same atom, which is what the
 modification search uses to reject candidate removals wholesale.
 
-`prepare` turns the arc arrays into adjacency once per problem: for each
-state the arcs to scan when its support lands (its out-arcs with the APPLY
-table, then its in-arcs with the BACK table), and for each event its arcs.
-Each entry carries its arc's bit of the arc reason.  Only a call that asks
-for the refutation core reads arc reasons, so the tables `prepare` builds
-carry arc bit 0 everywhere and the arc reasons stay 0; a second set with
-the real bits is built on the first call that asks for a core.  Decision
-level reasons are always kept, because backjumping depends on them.
+`prepare` reads the transition system's own index views (its arcs, each
+state's out- and in-arcs, each event's arcs, the initial state) and turns
+them into adjacency once per problem: for each state the arcs to scan when
+its support lands (its out-arcs with the APPLY table, then its in-arcs with
+the BACK table), and for each event its arcs.  Each entry carries its arc's
+bit of the arc reason.  Only a call that asks for the refutation core reads
+arc reasons, so the tables `prepare` builds carry arc bit 0 everywhere and
+the arc reasons stay 0; a second set with the real bits is built on the
+first call that asks for a core.  Decision level reasons are always kept,
+because backjumping depends on them.
 
 `solve` is one loop with no inner calls.  Levels are the root support
 choice (level 0) and the events (event e is level e+1); each turn of the
@@ -77,40 +79,36 @@ class Problem:
     for each out-arc of s, then each in-arc.  level_arcs[e + 1]: (src, dst,
     arc bit) for each arc of event e; slot 0, the root level, is empty.
     `plain` holds both with arc bit 0; `cored`, with arc bit 1 << a, is None
-    until a call asks for a refutation core.  The arc arrays are kept, not
+    until a call asks for a refutation core.  The system is kept, not
     copied, to build `cored` from.
     """
 
-    __slots__ = ("n_states", "n_events", "initial", "branch_tags", "arcs", "plain", "cored")
+    __slots__ = ("ts", "branch_tags", "plain", "cored")
 
-    def __init__(self, n_states, n_events, arc_src, arc_ev, arc_dst,
-                 out_arcs, in_arcs, ev_arcs, initial, branch_tags):
-        self.n_states = n_states
-        self.n_events = n_events
-        self.initial = initial
+    def __init__(self, ts, branch_tags):
+        self.ts = ts
         self.branch_tags = tuple(branch_tags)
-        self.arcs = (arc_src, arc_ev, arc_dst, out_arcs, in_arcs, ev_arcs)
-        self.plain = _adjacency(self.arcs, False)
+        self.plain = _adjacency(ts, False)
         self.cored = None
 
 
-def _adjacency(arcs, with_bits):
+def _adjacency(ts, with_bits):
     """(state_arcs, level_arcs) of a Problem, with arc bits or all zero."""
-    arc_src, arc_ev, arc_dst, out_arcs, in_arcs, ev_arcs = arcs
-    bits = [1 << a for a in range(len(arc_src))] if with_bits else [0] * len(arc_src)
+    arcs = ts.arcs
+    bits = [1 << a for a in range(len(arcs))] if with_bits else [0] * len(arcs)
+    fwd = [(e + 1, 2 << e, d, bit, APPLY) for (_, e, d), bit in zip(arcs, bits)]
+    back = [(e + 1, 2 << e, s, bit, BACK) for (s, e, _), bit in zip(arcs, bits)]
     state_arcs = [
-        [(arc_ev[a] + 1, 2 << arc_ev[a], arc_dst[a], bits[a], APPLY) for a in outs]
-        + [(arc_ev[a] + 1, 2 << arc_ev[a], arc_src[a], bits[a], BACK) for a in ins]
-        for outs, ins in zip(out_arcs, in_arcs)
+        [fwd[a] for a in outs] + [back[a] for a in ins] for outs, ins in zip(ts.out_arcs, ts.in_arcs)
     ]
-    level_arcs = [()] + [[(arc_src[a], arc_dst[a], bits[a]) for a in arcs_e] for arcs_e in ev_arcs]
+    level_arcs = [()] + [[(arcs[a][0], arcs[a][2], bits[a]) for a in occ] for occ in ts.event_arcs]
     return state_arcs, level_arcs
 
 
-def prepare(n_states, n_events, arc_src, arc_ev, arc_dst,
-            out_arcs, in_arcs, ev_arcs, initial, branch_tags) -> Problem:
-    return Problem(n_states, n_events, arc_src, arc_ev, arc_dst,
-                   out_arcs, in_arcs, ev_arcs, initial, branch_tags)
+def prepare(ts, branch_tags) -> Problem:
+    """The kernel's tables for ts, read from its index views, with the
+    interaction ids to try at each event in order."""
+    return Problem(ts, branch_tags)
 
 
 def solve(p: Problem, kind: int, goal_a: int, goal_b: int,
@@ -125,12 +123,12 @@ def solve(p: Problem, kind: int, goal_a: int, goal_b: int,
     """
     if collect_touched:
         if p.cored is None:
-            p.cored = _adjacency(p.arcs, True)
+            p.cored = _adjacency(p.ts, True)
         state_arcs, level_arcs = p.cored
     else:
         state_arcs, level_arcs = p.plain
-    n_states = p.n_states
-    top = p.n_events + 1
+    n_states = len(p.ts.states)
+    top = len(p.ts.events) + 1
     sup = [-1] * n_states
     sig = [-1] * top              # by level; slot 0 (the root) stays -1
     cause_lv = [0] * n_states     # decision levels behind each support
@@ -141,7 +139,7 @@ def solve(p: Problem, kind: int, goal_a: int, goal_b: int,
     # the other (pa + pb - s is the partner of s)
     pa, pb = (goal_a, goal_b) if kind == SSP else (-1, -1)
     essp_level = goal_a + 1 if kind == ESSP else -1
-    initial = p.initial
+    initial = p.ts.initial
     tags = p.branch_tags
     n_tags = len(tags)
     # the search stack, one slot per level (see the module docstring)

@@ -17,8 +17,8 @@ item placed, plus each check's own.
 
 The searches work in integer indices from the input system to the solver.
 Candidates are index arcs: a split candidate is the input's arcs with the
-group of each arc as its label (the state order and the arc endpoints are
-computed once per search), a removal candidate the surviving arcs.  Each
+group of each arc as its label (its states and initial state are the
+input's), a removal candidate the surviving arcs.  Each
 candidate is asked two questions through one check (_check):
 refute(kind, a, b), the refutation core of one atom or None, and
 first_failure(prop), the first unsolvable atom in decide_property's order
@@ -159,33 +159,9 @@ def _apply_split(ts: TransitionSystem, plan: ModificationPlan) -> TransitionSyst
         groups_used[e] = top + 1
         for pos, g in enumerate(groups):
             grp[occ[pos]] = g
-    order, base = _split_frame(ts)
-    arcs, event_at = _split_arcs(base, grp)
     labels = _split_labels(ts, groups_used)
-    events = tuple(labels[eg] for eg in event_at)
-    return TransitionSystem(ts.name, tuple(ts.states[s] for s in order), events, 0, tuple(arcs))
-
-
-def _split_frame(ts: TransitionSystem) -> tuple[list[int], list[tuple[int, int, int]]]:
-    """What every split candidate of ts shares: its state order, as the
-    original index of each candidate state, and the arcs with candidate
-    states and original events.  The order is the one TransitionSystem.build
-    gives the named arcs: states by first appearance (the initial state,
-    then each arc's source and target)."""
-    state_at = {ts.initial: 0}
-    for src, _, dst in ts.arcs:
-        state_at.setdefault(src, len(state_at))
-        state_at.setdefault(dst, len(state_at))
-    return list(state_at), [(state_at[src], e, state_at[dst]) for src, e, dst in ts.arcs]
-
-
-def _split_arcs(base, grp: list[int]):
-    """The candidate's index arcs, with arc a relabelled to group grp[a] of
-    its event, and the candidate event index of each (event index, group):
-    events by first appearance of their label."""
-    event_at: dict[tuple[int, int], int] = {}
-    arcs = [(s, event_at.setdefault((e, grp[a]), len(event_at)), d) for a, (s, e, d) in enumerate(base)]
-    return arcs, event_at
+    arcs = [(ts.states[s], labels[e, g], ts.states[d]) for (s, e, d), g in zip(ts.arcs, grp)]
+    return TransitionSystem.build(ts.initial_state, arcs, name=ts.name)
 
 
 def _removal_items(ts: TransitionSystem, kind: str) -> list[tuple]:
@@ -596,9 +572,6 @@ def _search_split(ts, tau, mode, kappa, budget) -> ModificationPlan | None:
         patterns.append((a1, a2, a3, a4, alpha, watchable, refutes))
         if refutes:
             masks.append(_mask_of(event_of[a] for a in watchable if tops[event_of[a]]))
-    # every candidate has the same state order and the same arc endpoints,
-    # so they are computed once
-    order, base = _split_frame(ts)
     # the last failing atom, rechecked first: it usually refutes the next
     # candidate too.  (SSP, s, s') or (ESSP, (e, g), s)
     sticky = None
@@ -632,15 +605,18 @@ def _search_split(ts, tau, mode, kappa, budget) -> ModificationPlan | None:
 
     def emit(split_events) -> ModificationPlan | None:
         nonlocal sticky
-        arcs, event_at = _split_arcs(base, grp)
-        check = _check(tau, budget, False, len(order), len(event_at), 0, arcs)
+        # the input's arcs, arc a relabelled to group grp[a] of its event;
+        # event_at numbers the (event, group) labels by first appearance
+        event_at: dict[tuple[int, int], int] = {}
+        arcs = [(s, event_at.setdefault((e, g), len(event_at)), d) for (s, e, d), g in zip(ts.arcs, grp)]
+        check = _check(tau, budget, False, len(ts.states), len(event_at), ts.initial, arcs)
         if sticky is not None:
             kind, a, b = sticky
             if kind == ESSP:
                 # not an atom of this candidate when the label is gone or
                 # occurs at the state
                 e, g = a
-                arc = ts.arc_at.get((order[b], e))
+                arc = ts.arc_at.get((b, e))
                 a = event_at.get(a)
                 if a is None or (arc is not None and grp[arc] == g):
                     kind = None

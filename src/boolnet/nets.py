@@ -85,10 +85,14 @@ class BooleanNet:
         return Marking(self.m0)
 
     def fire(self, m: Marking | tuple[int, ...], t: str) -> Marking | None:
-        """Successor marking, or None when t is not enabled at m."""
+        """Successor marking, or None when t is not enabled at m.  A marking
+        without exactly one 0 or 1 bit per place raises ValueError."""
         if t not in self.transitions:
             raise UnknownTransition(t)
         bits = m.bits if isinstance(m, Marking) else tuple(m)
+        n = len(self.places)
+        if len(bits) != n or not all(isinstance(b, int) and b in (0, 1) for b in bits):
+            raise ValueError(f"marking {bits} is not one 0 or 1 bit for each of {n} places")
         out = []
         for p, b in zip(self.places, bits):
             nb = apply_interaction(self.flow[(p, t)], b)

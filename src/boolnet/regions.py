@@ -245,14 +245,7 @@ class CompiledProblem:
     def __init__(self, ts: TransitionSystem, tau: BooleanType):
         self.ts = ts
         self.tau = tau
-        arc_src = [a[0] for a in ts.arcs]
-        arc_ev = [a[1] for a in ts.arcs]
-        arc_dst = [a[2] for a in ts.arcs]
-        branch = [_TAG_ID[t] for t in tau.branch_order()]
-        self.handle = _kernel.prepare(
-            len(ts.states), len(ts.events), arc_src, arc_ev, arc_dst,
-            ts.out_arcs, ts.in_arcs, ts.event_arcs, ts.initial, branch,
-        )
+        self.handle = _kernel.prepare(ts, [_TAG_ID[t] for t in tau.branch_order()])
 
     def atom_args(self, atom: SeparationAtom) -> tuple[int, int, int]:
         ts = self.ts

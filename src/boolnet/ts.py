@@ -327,7 +327,10 @@ def induced_simulation(a: TransitionSystem, b: TransitionSystem) -> SimulationMa
     Uniqueness holds because a is reachable and b deterministic: the image of
     the initial state is forced and propagates along every arc.  Plain
     simulation tolerates extra events on the target side; classifying the map
-    (check_relation) requires equal event sets.
+    (check_relation) requires equal event sets.  A system from the
+    TransitionSystem constructor may hold a state a never reaches from its
+    initial state: once every reached state is mapped, that raises
+    Unreachable for the lowest-index one.
     """
     if not set(a.events) <= set(b.events):
         raise EventSetMismatch(
@@ -343,6 +346,8 @@ def induced_simulation(a: TransitionSystem, b: TransitionSystem) -> SimulationMa
         if t is None:
             return None
         phi[dst] = t
+    if len(phi) < len(a.states):
+        raise Unreachable(a.states[next(s for s in range(len(a.states)) if s not in phi)])
     for arc in chords:
         src, ev, dst = a.arcs[arc]
         if delta.get((phi[src], ev_map[ev])) != phi[dst]:

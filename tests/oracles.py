@@ -203,34 +203,29 @@ def brute_has_property(ts, tau, prop):
 
 
 def naive_reachability(net):
-    """Breadth-first exploration through net.fire, one marking at a time.
-
-    Returns (states, events, arcs, initial_index) in the same ordering
-    discipline as reachability_graph, for exact comparison.
-    """
+    """The reachability graph by breadth-first exploration through net.fire,
+    one marking at a time, built with TransitionSystem.build from named arcs:
+    markings in discovery order, the transitions that fired in net order, and
+    reachability_graph's name, for exact comparison."""
     m0 = net.initial_marking()
-    seen = {m0.bits: 0}
-    order = [m0]
-    arcs = []
-    fired = set()
-    queue = [m0]
-    while queue:
-        m = queue.pop(0)
+    order, seen, arcs = [m0], {m0}, []
+    for m in order:
         for t in net.transitions:
             m2 = net.fire(m, t)
             if m2 is None:
                 continue
-            fired.add(t)
-            if m2.bits not in seen:
-                seen[m2.bits] = len(order)
+            if m2 not in seen:
+                seen.add(m2)
                 order.append(m2)
-                queue.append(m2)
             arcs.append((m.text(), t, m2.text()))
-    states = tuple(m.text() for m in order)
-    events = tuple(t for t in net.transitions if t in fired)
-    sidx = {s: i for i, s in enumerate(states)}
-    eidx = {e: i for i, e in enumerate(events)}
-    return states, events, tuple((sidx[a], eidx[b], sidx[c]) for a, b, c in arcs), 0
+    fired = {t for _, t, _ in arcs}
+    return bn.TransitionSystem.build(
+        initial=m0.text(),
+        arcs=arcs,
+        states=tuple(m.text() for m in order),
+        events=tuple(t for t in net.transitions if t in fired),
+        name=(net.name + "-rg") if net.name else None,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -40,15 +40,7 @@ LIMITS = (-1, 0, 1, 2, 5, 17)
 
 
 def prepared(ts, tau):
-    n, m = len(ts.states), len(ts.events)
-    return _solver_py.prepare(
-        n, m,
-        [s for (s, _, _) in ts.arcs],
-        [e for (_, e, _) in ts.arcs],
-        [d for (_, _, d) in ts.arcs],
-        ts.out_arcs, ts.in_arcs, ts.event_arcs,
-        ts.initial, [_TAG_ID[t] for t in tau.branch_order()],
-    )
+    return _solver_py.prepare(ts, [_TAG_ID[t] for t in tau.branch_order()])
 
 
 def atom_list(ts):

@@ -269,6 +269,43 @@ def test_decide_plans_apply_cleanly():
             assert bn.has_property(modified, TAU_D, "ssp")
 
 
+def test_split_plans_do_not_depend_on_the_state_order():
+    # the split search keeps the input's state indices and initial state, so
+    # a system rebuilt with a shuffled state order, the same arcs and the
+    # same events must get the same plan
+    rng = random.Random(4242)
+    taus = [TAU_D, bn.BooleanType.of("nop", "set", "res", "swap")]
+    reordered = 0
+    while reordered < 20:
+        ts = oracles.random_ts(rng, max_states=5, max_events=3)
+        states = list(ts.states)
+        rng.shuffle(states)
+        if tuple(states) == ts.states:
+            continue
+        arcs = [ts.arc_names(a) for a in range(len(ts.arcs))]
+        shuffled = bn.TransitionSystem.build(ts.initial_state, arcs, states=states)
+        assert shuffled.events == ts.events
+        reordered += 1
+        for tau in taus:
+            for mode in bn.MODES:
+                for kappa in range(len(ts.events), len(ts.events) + 3):
+                    want = bn.decide(ts, tau, "split", mode, kappa)
+                    assert bn.decide(shuffled, tau, "split", mode, kappa) == want
+                    if want is not None:
+                        modified = bn.apply_plan(shuffled, want)
+                        assert modified.states[0] == ts.initial_state
+                        assert bn.has_property(modified, tau, bn.property_for_mode(mode))
+
+
+def test_apply_split_rejects_a_system_with_an_unreached_state():
+    # a constructor-built system whose unreachable state s2 has an arc
+    ts = bn.TransitionSystem(None, ("s0", "s1", "s2"), ("a",), 0, ((0, 0, 1), (2, 0, 0)))
+    plan = bn.ModificationPlan(kind="split", cost=2, splits=(("a", (0, 1)),))
+    with pytest.raises(bn.Unreachable) as exc:
+        bn.apply_plan(ts, plan)
+    assert exc.value.state == "s2"
+
+
 def test_swap_only_split_fast_path():
     tau = bn.BooleanType.of("nop", "swap")
     complete = bn.TransitionSystem.build(

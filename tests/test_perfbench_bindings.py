@@ -31,6 +31,8 @@ def test_every_traced_layer_binds_and_is_restored():
     assert counts["modify.fast_path.calls"] == 2
     assert counts["regions.decide_property.calls"] > 0
     assert counts["kernel.solve.calls"] > 0
+    # every kernel table is built through the traced prepare
+    assert counts["kernel.prepare.calls"] == counts["regions.compile.calls"] > 0
 
 
 def test_kernel_counters_match_the_search():

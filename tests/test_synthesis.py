@@ -106,6 +106,15 @@ def test_verify_implementation_live_extra_transition_fails():
     assert bn.verify_implementation(ts, extra, "realize") is False
 
 
+def test_verify_implementation_raises_on_an_unreached_state():
+    # s2 and its arc have no image in any net's reachability graph
+    ts = bn.TransitionSystem(None, ("s0", "s1", "s2"), ("a",), 0, ((0, 0, 1), (2, 0, 0)))
+    chain = bn.TransitionSystem.build("s0", [("s0", "a", "s1")])
+    net = bn.synthesize(chain, TAU, "realize").net
+    with pytest.raises(bn.Unreachable):
+        bn.verify_implementation(ts, net, "realize")
+
+
 def test_synthesized_nets_verify_for_their_mode():
     rng = random.Random(60902)
     produced = 0

@@ -200,6 +200,24 @@ def test_check_relation_modes():
     assert bn.check_relation(a, longer, "realize") is False
 
 
+def test_simulation_raises_on_a_source_state_it_never_reaches():
+    # a constructor-built source may hold states its initial state never
+    # reaches; they have no image, so no mode may hold
+    b = bn.TransitionSystem.build("s0", [("s0", "a", "s1")])
+    a = bn.TransitionSystem(None, ("s0", "s1", "s2"), ("a",), 0, ((0, 0, 1), (2, 0, 0)))
+    with pytest.raises(bn.Unreachable) as exc:
+        bn.induced_simulation(a, b)
+    assert exc.value.state == "s2"
+    for mode in bn.MODES:
+        with pytest.raises(bn.Unreachable):
+            bn.check_relation(a, b, mode)
+    # two unreached states, one without arcs: the lower index is named
+    a = bn.TransitionSystem(None, ("s0", "s1", "s2", "s3"), ("a",), 0, ((0, 0, 1), (3, 0, 0)))
+    with pytest.raises(bn.Unreachable) as exc:
+        bn.check_relation(a, b, "embed")
+    assert exc.value.state == "s2"
+
+
 def test_check_relation_requires_equal_alphabets():
     with pytest.raises(bn.EventSetMismatch):
         bn.check_relation(chain("a"), chain("a", "b"), "embed")
