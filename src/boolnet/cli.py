@@ -192,7 +192,7 @@ def _cmd_fixtures(args) -> int:
         solved = ok and any(
             region.solves(SeparationAtom("essp", event, s))
             for s in bg.states
-            if (bg.state_index[s], bg.event_index[event]) not in bg.delta
+            if (bg.state_index[s], bg.event_index[event]) not in bg.arc_at
         )
         good &= step(f"fixture region {name} validates and separates {event}", ok and solved)
 

@@ -108,8 +108,8 @@ class _Basis:
 
 class LinearProblem:
     """The atoms of one system under a linear type (see the module
-    docstring), from its index arcs: (src, event, dst) triples.  Every state
-    must be reachable from the initial one.
+    docstring), from its state names (they only name a state the walk
+    misses, see `ts.spanning_tree`) and index arcs: (src, event, dst) triples.
 
     With cores off, `refute` and `first_failure` report 0 as the core.
     """
@@ -119,7 +119,7 @@ class LinearProblem:
 
     def __init__(
         self,
-        n_states: int,
+        states,
         n_events: int,
         initial: int,
         arcs,
@@ -135,11 +135,11 @@ class LinearProblem:
         self.shift = shift = 2 * len(arcs) if cores else 0
         self.unit = unit = 1 if cores else 0
         self.xs = frozenset(_PARTIAL_BIT[t] for t in tau.tags if t in _PARTIAL_BIT)
-        out: list[list[int]] = [[] for _ in range(n_states)]
+        out: list[list[int]] = [[] for _ in states]
         for a, arc in enumerate(arcs):
             out[arc[0]].append(a)
-        order, chords = spanning_tree(initial, arcs, out)
-        vec = [0] * n_states
+        order, chords = spanning_tree(initial, arcs, out, states)
+        vec = [0] * len(states)
         for v, a in order:
             s, e, _ = arcs[a]
             vec[v] = vec[s] ^ (1 << (shift + e)) ^ (unit << a)

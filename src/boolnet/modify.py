@@ -18,24 +18,25 @@ item placed, plus each check's own.
 The searches work in integer indices from the input system to the solver.
 Candidates are index arcs: a split candidate is the input's arcs with the
 group of each arc as its label (its states and initial state are the
-input's), a removal candidate the surviving arcs.  Each
-candidate is asked two questions through one check (_check):
-refute(kind, a, b), the refutation core of one atom or None, and
-first_failure(prop), the first unsolvable atom in decide_property's order
-with its core, or None.  For a linear type (nop and swap plus any of inp,
-out, used, free; see boolnet.linear) the check is GF(2) elimination: no
-TransitionSystem is built, the kernel is never called, and each question
-charges one node.  The core then comes from the refutation itself.  For any
-other type the check builds an anonymous TransitionSystem, named by decimal
-indices, and asks the kernel: refute is one solve_index call, first_failure
-is decide_property plus, when the removal search wants a core, a second
-solve of the failure atom.  Either way a core is a bitmask over the arcs.
-The check takes state and event counts, so the searches build no names;
-those appear only in the plans they return.  Removal items are data: each
-removable edge, event or state is its arc mask plus the bit of the state or
-event it takes with it, so the three removal kinds differ only in their item
-list, and apply_plan and the removal search share one validity screen over
-those masks.
+input's), a removal candidate the surviving arcs.  Each candidate is asked
+two questions through one check (_check): refute(kind, a, b), the
+refutation core of one atom or None, and first_failure(prop), the first
+unsolvable atom in decide_property's order with its core, or None.  For a
+linear type (nop and swap plus any of inp, out, used, free; see
+boolnet.linear) the check is GF(2) elimination: no TransitionSystem is
+built, the kernel is never called, and each question charges one node.  The
+core then comes from the refutation itself.  For any other type the check
+builds an anonymous TransitionSystem and asks the kernel: refute is one
+solve_index call, first_failure is decide_property plus, when the removal
+search wants a core, a second solve of the failure atom.  Either way a core
+is a bitmask over the arcs.  The check's events are numbered and its state
+names only name a state its walk misses (split candidates pass the input's,
+removal candidates, screened by _unreached_state first, their original
+indices), so the searches build no names; those appear only in the plans
+they return.  Removal items are data: each removable edge, event or state
+is its arc mask plus the bit of the state or event it takes with it, so the
+three removal kinds differ only in their item list, and apply_plan and the
+removal search share one validity screen over those masks.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .regions import (
     decide_property,
     property_for_mode,
 )
-from .ts import MODES, TransitionSystem, token_lines
+from .ts import MODES, TransitionSystem, spanning_tree, token_lines
 
 KINDS = ("split", "edge", "event", "state")
 
@@ -135,6 +136,7 @@ def apply_plan(ts: TransitionSystem, plan: ModificationPlan) -> TransitionSystem
 
 
 def _apply_split(ts: TransitionSystem, plan: ModificationPlan) -> TransitionSystem:
+    spanning_tree(ts.initial, ts.arcs, ts.out_arcs, ts.states)  # build drops an arcless state
     grp = [0] * len(ts.arcs)
     groups_used: dict[int, int] = {}
     seen_events = set()
@@ -386,10 +388,11 @@ def decide_fast_path(
     # tables, and neither splitting nor removing edges can complete one.
     # state: a kept state set must give every kept state every event inside
     # it; the largest such set contains the initial state only when every
-    # event occurs everywhere (all states are reachable, so a missing
-    # occurrence anywhere poisons the initial state), and then it is every
-    # state, so an unsolvable state pair is final
-    if len(ts.delta) != len(ts.states) * len(ts.events):
+    # event occurs everywhere (the walk makes all states reachable, so a
+    # missing occurrence anywhere poisons the initial state), and then it is
+    # every state, so an unsolvable state pair is final
+    spanning_tree(ts.initial, ts.arcs, ts.out_arcs, ts.states)
+    if len(ts.arcs) != len(ts.states) * len(ts.events):
         if state:
             return FastPathResult("no", reason="initial state cannot keep all events")
         return FastPathResult("no", reason="an event is missing at some state")
@@ -403,7 +406,7 @@ def decide_fast_path(
 
 def _inseparable_pair(ts: TransitionSystem, tau: BooleanType, budget) -> str:
     """The first state pair of ts no region separates, as text, or ""."""
-    check = _check(tau, budget, False, len(ts.states), len(ts.events), ts.initial, ts.arcs)
+    check = _check(tau, budget, False, ts.states, len(ts.events), ts.initial, ts.arcs)
     failure = check.first_failure("ssp")
     return "" if failure is None else f"({ts.states[failure[1]]},{ts.states[failure[2]]})"
 
@@ -411,9 +414,9 @@ def _inseparable_pair(ts: TransitionSystem, tau: BooleanType, budget) -> str:
 # -- candidate checks ----------------------------------------------------------------
 
 
-def _check(tau, budget, cores, n_states, n_events, initial, arcs):
-    """The candidate check for the system with these state and event counts
-    and index arcs: a LinearProblem when tau is linear, else the kernel.
+def _check(tau, budget, cores, states, n_events, initial, arcs):
+    """The candidate check for these state names, event count and index
+    arcs: a LinearProblem when tau is linear, else the kernel.
 
     Both answer refute(kind, a, b), the core of an unsolvable atom as a
     bitmask over the arcs or None when a region solves it, and
@@ -421,9 +424,9 @@ def _check(tau, budget, cores, n_states, n_events, initial, arcs):
     decide_property's order or None.  The core is 0 unless cores is set.
     """
     if is_linear(tau):
-        return LinearProblem(n_states, n_events, initial, arcs, tau, budget, cores)
-    states, events = (tuple(map(str, range(n))) for n in (n_states, n_events))
-    return _KernelCheck(TransitionSystem(None, states, events, initial, tuple(arcs)), tau, budget, cores)
+        return LinearProblem(states, n_events, initial, arcs, tau, budget, cores)
+    events = tuple(map(str, range(n_events)))
+    return _KernelCheck(TransitionSystem(None, tuple(states), events, initial, tuple(arcs)), tau, budget, cores)
 
 
 class _KernelCheck:
@@ -609,7 +612,7 @@ def _search_split(ts, tau, mode, kappa, budget) -> ModificationPlan | None:
         # event_at numbers the (event, group) labels by first appearance
         event_at: dict[tuple[int, int], int] = {}
         arcs = [(s, event_at.setdefault((e, g), len(event_at)), d) for (s, e, d), g in zip(ts.arcs, grp)]
-        check = _check(tau, budget, False, len(ts.states), len(event_at), ts.initial, arcs)
+        check = _check(tau, budget, False, ts.states, len(event_at), ts.initial, arcs)
         if sticky is not None:
             kind, a, b = sticky
             if kind == ESSP:
@@ -772,7 +775,7 @@ def _search_removal(ts, tau, kind, mode, kappa, budget) -> ModificationPlan | No
             if _unreached_state(ts, removed_mask, gone_states) >= 0:
                 continue
             states, events, arc_origin, initial, arcs = _restrict(ts, *removal)
-            check = _check(tau, budget, True, len(states), len(events), initial, arcs)
+            check = _check(tau, budget, True, states, len(events), initial, arcs)
 
             if last_fail is not None and _atom_alive(last_fail, *removal):
                 atom_kind, a, b, _ = last_fail

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _solver_py as _kernel
-from .errors import DomainMismatch, ParseError, SearchBudgetExceeded, Unreachable
+from .errors import DomainMismatch, ParseError, SearchBudgetExceeded
 from .interactions import INTERACTIONS, BooleanType, apply_interaction, check_tag
 from .ts import TransitionSystem, spanning_tree, token_lines
 
@@ -188,9 +188,8 @@ def complete_region(
 
     Supports propagate along a BFS from the initial state; since every state
     is reachable this already determines the whole support, and a final pass
-    over all arcs rejects any inconsistency (including odd cycles).  A system
-    from the TransitionSystem constructor may hold a state the BFS never
-    reaches: that raises Unreachable for the lowest-index one.
+    over all arcs rejects any inconsistency (including odd cycles).  The BFS
+    raises Unreachable when the system holds a state it never reaches.
     """
     if sup_iota not in (0, 1):
         raise DomainMismatch(f"initial support {sup_iota!r} is not 0 or 1")
@@ -201,14 +200,12 @@ def complete_region(
         if tag not in tau:
             raise DomainMismatch(f"signature value {tag!r} for {e!r} outside type {tau}")
     sup: dict[int, int] = {ts.initial: int(sup_iota)}
-    for dst, a in spanning_tree(ts.initial, ts.arcs, ts.out_arcs)[0]:
+    for dst, a in spanning_tree(ts.initial, ts.arcs, ts.out_arcs, ts.states)[0]:
         src, ev, _ = ts.arcs[a]
         v = apply_interaction(sig[ts.events[ev]], sup[src])
         if v is None:
             return None
         sup[dst] = v
-    if len(sup) < len(ts.states):
-        raise Unreachable(ts.states[next(s for s in range(len(ts.states)) if s not in sup)])
     for a in range(len(ts.arcs)):
         src, ev, dst = ts.arcs[a]
         if apply_interaction(sig[ts.events[ev]], sup[src]) != sup[dst]:
@@ -229,7 +226,7 @@ def atoms(ts: TransitionSystem) -> list[SeparationAtom]:
             out.append(SeparationAtom("ssp", ts.states[i], ts.states[j]))
     for e in range(len(ts.events)):
         for s in range(n):
-            if (s, e) not in ts.delta:
+            if (s, e) not in ts.arc_at:
                 out.append(SeparationAtom("essp", ts.events[e], ts.states[s]))
     return out
 
@@ -238,11 +235,14 @@ def atoms(ts: TransitionSystem) -> list[SeparationAtom]:
 
 
 class CompiledProblem:
-    """Kernel-ready tables for one (ts, tau) pair; reusable across atoms."""
+    """Kernel-ready tables for one (ts, tau) pair; reusable across atoms.
+    Compiling walks the system once, so an unreachable state raises
+    Unreachable here and the kernel never sees one."""
 
     __slots__ = ("ts", "tau", "handle")
 
     def __init__(self, ts: TransitionSystem, tau: BooleanType):
+        spanning_tree(ts.initial, ts.arcs, ts.out_arcs, ts.states)
         self.ts = ts
         self.tau = tau
         self.handle = _kernel.prepare(ts, [_TAG_ID[t] for t in tau.branch_order()])
@@ -260,7 +260,7 @@ class CompiledProblem:
             raise DomainMismatch(f"atom state {atom.second!r} not in the system")
         e = ts.event_index[atom.first]
         s = ts.state_index[atom.second]
-        if (s, e) in ts.delta:
+        if (s, e) in ts.arc_at:
             raise DomainMismatch(f"{atom.first!r} occurs at {atom.second!r}: not an atom")
         return (ESSP, e, s)
 
@@ -278,7 +278,17 @@ class CompiledProblem:
         when the atom is refuted; core is the refutation core as a bitmask
         over ts.arcs when asked for (collect_touched), and 0 otherwise.
         Charges the budget and raises SearchBudgetExceeded when it runs out.
+        A triple that is not an atom of ts raises DomainMismatch: SSP needs
+        two distinct states, ESSP an event missing at the state.
         """
+        n = len(self.ts.states)
+        if kind == SSP:
+            ok = 0 <= a < n and 0 <= b < n and a != b
+        else:
+            ok = kind == ESSP and 0 <= a < len(self.ts.events) and 0 <= b < n
+            ok = ok and (b, a) not in self.ts.arc_at
+        if not ok:
+            raise DomainMismatch(f"{(kind, a, b)} is not an atom of the system")
         limit = -1 if budget is None else budget.remaining()
         status, sup, sig, nodes, core = _kernel.solve(
             self.handle, kind, a, b, limit, collect_touched
@@ -372,7 +382,7 @@ def decide_property(
     pending: list[int] = []
     if prop != "ssp":
         defined = [0] * len(ts.events)
-        for s, e in ts.delta:
+        for s, e in ts.arc_at:
             defined[e] |= 1 << s
         for e, dmask in enumerate(defined):
             rows.append((ESSP, e))

@@ -20,7 +20,7 @@ from .regions import (
     decide_property,
     property_for_mode,
 )
-from .ts import MODES, TransitionSystem, check_relation
+from .ts import MODES, TransitionSystem, check_relation, spanning_tree
 
 
 @dataclass
@@ -52,7 +52,7 @@ def verify_implementation(ts: TransitionSystem, net: BooleanNet, mode: str) -> b
     The net may carry transitions beyond the system's events, but not the
     other way around.  A reachability graph whose live alphabet differs from
     the system's events can never qualify, so that case is False, not an
-    error.
+    error.  A system with an unreached state raises Unreachable either way.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -61,6 +61,7 @@ def verify_implementation(ts: TransitionSystem, net: BooleanNet, mode: str) -> b
         raise EventSetMismatch(f"net lacks transitions for events: {sorted(missing)}")
     rg = reachability_graph(net)
     if set(rg.events) != set(ts.events):
+        spanning_tree(ts.initial, ts.arcs, ts.out_arcs, ts.states)  # as check_relation does
         return False
     return check_relation(ts, rg, mode)
 

@@ -35,8 +35,10 @@ def _check_ident(token: str, what: str) -> str:
 class TransitionSystem:
     """Immutable labeled transition system over indexed states and events.
 
-    Public accessors speak in names; the integer views (arcs, out_arcs, ...)
-    exist for the solvers.
+    Public accessors speak in names; the integer views (arcs, arc_at,
+    out_arcs, in_arcs, event_arcs) exist for the solvers: the successor of
+    s by e is arcs[arc_at[(s, e)]][2].  Unlike build, the constructor admits
+    an unreachable state; every check then raises Unreachable (spanning_tree).
     """
 
     __slots__ = (
@@ -47,7 +49,6 @@ class TransitionSystem:
         "arcs",
         "state_index",
         "event_index",
-        "delta",
         "arc_at",
         "out_arcs",
         "in_arcs",
@@ -69,16 +70,14 @@ class TransitionSystem:
         self.arcs = arcs
         self.state_index = {s: i for i, s in enumerate(states)}
         self.event_index = {e: i for i, e in enumerate(events)}
-        self.delta: dict[tuple[int, int], int] = {}
         self.arc_at: dict[tuple[int, int], int] = {}
         self.out_arcs: list[list[int]] = [[] for _ in states]
         self.in_arcs: list[list[int]] = [[] for _ in states]
         self.event_arcs: list[list[int]] = [[] for _ in events]
         for a, (src, ev, dst) in enumerate(arcs):
             key = (src, ev)
-            if key in self.delta:
+            if key in self.arc_at:
                 raise NonDeterministic(states[src], events[ev])
-            self.delta[key] = dst
             self.arc_at[key] = a
             self.out_arcs[src].append(a)
             self.in_arcs[dst].append(a)
@@ -142,10 +141,7 @@ class TransitionSystem:
         return ts
 
     def _validate(self) -> None:
-        order, _ = spanning_tree(self.initial, self.arcs, self.out_arcs)
-        if len(order) + 1 < len(self.states):
-            reached = {self.initial, *(d for d, _ in order)}
-            raise Unreachable(next(s for i, s in enumerate(self.states) if i not in reached))
+        spanning_tree(self.initial, self.arcs, self.out_arcs, self.states)
         for e, occ in zip(self.events, self.event_arcs):
             if not occ:
                 raise UselessEvent(e)
@@ -163,8 +159,8 @@ class TransitionSystem:
             raise UnknownId(state)
         if ei is None:
             raise UnknownId(event)
-        di = self.delta.get((si, ei))
-        return None if di is None else self.states[di]
+        a = self.arc_at.get((si, ei))
+        return None if a is None else self.states[self.arcs[a][2]]
 
     def has_arc(self, state: str, event: str) -> bool:
         return self.successor(state, event) is not None
@@ -191,10 +187,12 @@ class TransitionSystem:
         return f"<{label}: {len(self.states)} states, {len(self.events)} events, {len(self.arcs)} arcs>"
 
 
-def spanning_tree(initial: int, arcs, out_arcs) -> tuple[list, list]:
+def spanning_tree(initial: int, arcs, out_arcs, names) -> tuple[list, list]:
     """A BFS tree from the initial state along index arcs, given each
     state's out-arcs: (state, tree arc) in BFS order without the initial
-    state, and the arcs from reached states off the tree (chords)."""
+    state, and the arcs off the tree (chords).  It is the one check that
+    every state is reachable: it raises Unreachable with names[s] for the
+    lowest-index state s it misses."""
     seen = [False] * len(out_arcs)
     seen[initial] = True
     queue = [initial]
@@ -209,6 +207,8 @@ def spanning_tree(initial: int, arcs, out_arcs) -> tuple[list, list]:
                 seen[d] = True
                 queue.append(d)
                 order.append((d, a))
+    if len(queue) < len(out_arcs):
+        raise Unreachable(names[seen.index(False)])
     return order, chords
 
 
@@ -327,30 +327,27 @@ def induced_simulation(a: TransitionSystem, b: TransitionSystem) -> SimulationMa
     Uniqueness holds because a is reachable and b deterministic: the image of
     the initial state is forced and propagates along every arc.  Plain
     simulation tolerates extra events on the target side; classifying the map
-    (check_relation) requires equal event sets.  A system from the
-    TransitionSystem constructor may hold a state a never reaches from its
-    initial state: once every reached state is mapped, that raises
-    Unreachable for the lowest-index one.
+    (check_relation) requires equal event sets.  The walk over a raises
+    Unreachable when a holds a state its initial state never reaches.
     """
     if not set(a.events) <= set(b.events):
         raise EventSetMismatch(
             f"source uses events missing from target: {sorted(set(a.events) - set(b.events))}"
         )
     ev_map = [b.event_index[e] for e in a.events]
-    order, chords = spanning_tree(a.initial, a.arcs, a.out_arcs)
+    order, chords = spanning_tree(a.initial, a.arcs, a.out_arcs, a.states)
     phi: dict[int, int] = {a.initial: b.initial}
-    delta = b.delta
+    at, b_arcs = b.arc_at, b.arcs
     for dst, arc in order:
         src, ev, _ = a.arcs[arc]
-        t = delta.get((phi[src], ev_map[ev]))
+        t = at.get((phi[src], ev_map[ev]))
         if t is None:
             return None
-        phi[dst] = t
-    if len(phi) < len(a.states):
-        raise Unreachable(a.states[next(s for s in range(len(a.states)) if s not in phi)])
+        phi[dst] = b_arcs[t][2]
     for arc in chords:
         src, ev, dst = a.arcs[arc]
-        if delta.get((phi[src], ev_map[ev])) != phi[dst]:
+        t = at.get((phi[src], ev_map[ev]))
+        if t is None or b_arcs[t][2] != phi[dst]:
             return None
     return SimulationMap(source=a, target=b, phi=phi)
 

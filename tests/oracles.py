@@ -134,7 +134,7 @@ def local_atoms(ts, prop):
     if prop in ("essp", "both"):
         for e, ev in enumerate(ts.events):
             for s, st in enumerate(ts.states):
-                if (s, e) not in ts.delta:
+                if (s, e) not in ts.arc_at:
                     out.append(("essp", ev, st))
     return out
 
@@ -238,11 +238,12 @@ def all_simulations(a, b):
     if set(a.events) - set(b.events):
         return []
     ev_map = [b.event_index[e] for e in a.events]
+    succ = {(s, e): d for s, e, d in b.arcs}
     out = []
     for phi in itertools.product(range(len(b.states)), repeat=len(a.states)):
         if phi[a.initial] != b.initial:
             continue
-        if all(b.delta.get((phi[s], ev_map[e])) == phi[d] for (s, e, d) in a.arcs):
+        if all(succ.get((phi[s], ev_map[e])) == phi[d] for (s, e, d) in a.arcs):
             out.append(phi)
     return out
 

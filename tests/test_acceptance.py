@@ -219,7 +219,7 @@ def test_criterion_4_event_complete_characterization(criteria, witness_registry)
         rng = __import__("random").Random(4242)
         systems = [oracles.random_ts(rng, max_states=8, max_events=3) for _ in range(100)]
         for ts in systems:
-            complete = len(ts.delta) == len(ts.states) * len(ts.events)
+            complete = len(ts.arcs) == len(ts.states) * len(ts.events)
             for tau in taus:
                 out = bn.decide_property(ts, tau, "essp")
                 assert isinstance(out, bn.Witness) == complete, str(tau)
@@ -304,7 +304,7 @@ def test_criterion_9_fixture_regions(criteria):
             targets = [
                 bn.SeparationAtom("essp", ev, s)
                 for s in bg.states
-                if (bg.state_index[s], bg.event_index[ev]) not in bg.delta
+                if (bg.state_index[s], bg.event_index[ev]) not in bg.arc_at
             ]
             assert targets
             for atom in targets:

@@ -46,7 +46,7 @@ def prepared(ts, tau):
 def atom_list(ts):
     n, m = len(ts.states), len(ts.events)
     out = [(_solver_py.SSP, a, b) for a in range(n) for b in range(a + 1, n)]
-    out += [(_solver_py.ESSP, e, s) for e in range(m) for s in range(n) if (s, e) not in ts.delta]
+    out += [(_solver_py.ESSP, e, s) for e in range(m) for s in range(n) if (s, e) not in ts.arc_at]
     return out
 
 

@@ -26,12 +26,12 @@ def kernel_atoms(ts):
     """Every atom of ts as a kernel triple."""
     n = len(ts.states)
     out = [(SSP, i, j) for i in range(n) for j in range(i + 1, n)]
-    out += [(ESSP, e, s) for e in range(len(ts.events)) for s in range(n) if (s, e) not in ts.delta]
+    out += [(ESSP, e, s) for e in range(len(ts.events)) for s in range(n) if (s, e) not in ts.arc_at]
     return out
 
 
 def linear(ts, tau, **kw):
-    return LinearProblem(len(ts.states), len(ts.events), ts.initial, ts.arcs, tau, **kw)
+    return LinearProblem(ts.states, len(ts.events), ts.initial, ts.arcs, tau, **kw)
 
 
 def test_is_linear():

@@ -304,6 +304,22 @@ def test_apply_split_rejects_a_system_with_an_unreached_state():
     with pytest.raises(bn.Unreachable) as exc:
         bn.apply_plan(ts, plan)
     assert exc.value.state == "s2"
+    # without an arc at s2, building the result from named arcs would drop it
+    arcless = bn.TransitionSystem(None, ("s0", "s1", "s2"), ("a",), 0, ((0, 0, 1),))
+    with pytest.raises(bn.Unreachable) as exc:
+        bn.apply_plan(arcless, bn.ModificationPlan(kind="split", cost=1))
+    assert exc.value.state == "s2"
+    # the split search raises at its first candidate check, as does the
+    # state fast path; the removal screen may delete s2 instead
+    for tau in (TAU_D, bn.BooleanType.of("nop", "inp", "set")):
+        with pytest.raises(bn.Unreachable) as exc:
+            bn.decide(ts, tau, "split", "realize", 2)
+        assert exc.value.state == "s2"
+    with pytest.raises(bn.Unreachable) as exc:
+        bn.decide(ts, bn.BooleanType.of("nop", "swap"), "state", "langsim", 1)
+    assert exc.value.state == "s2"
+    plan = bn.decide(ts, TAU_D, "state", "realize", 1)
+    assert plan == bn.ModificationPlan(kind="state", cost=1, states=("s2",))
 
 
 def test_swap_only_split_fast_path():

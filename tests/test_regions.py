@@ -93,6 +93,13 @@ def test_complete_region_raises_unreachable_on_a_relaxed_system():
     with pytest.raises(bn.Unreachable) as exc:
         bn.complete_region(ts, tau, 1, {"x": "swap"})
     assert exc.value.state == "b"
+    # c has no arcs; the walk raises before the support propagation can
+    # fail (inp is undefined at support 0) and answer None
+    ts = bn.TransitionSystem(None, ("a", "b", "c"), ("x",), 0, ((0, 0, 1),))
+    for sup_iota, tag in ((0, "nop"), (0, "inp")):
+        with pytest.raises(bn.Unreachable) as exc:
+            bn.complete_region(ts, bn.BooleanType.of("nop", "inp"), sup_iota, {"x": tag})
+        assert exc.value.state == "c"
 
 
 def test_complete_region_matches_enumeration():
@@ -130,6 +137,24 @@ def test_solve_atom_returns_validating_solver():
     assert r is not None and bn.validate_region(ts, TAU, r) and r.solves(atom)
     assert bn.solve_atom(ts, TAU, bn.SeparationAtom("ssp", "t0", "t2")) is None
     assert bn.solve_atom(ts, TAU, bn.SeparationAtom("essp", "a", "t2")) is None
+
+
+def test_solve_index_rejects_triples_that_are_not_atoms():
+    # the rules atom_args applies to named atoms: a known kind, indices in
+    # range, two distinct states for SSP, an event missing at its state for ESSP
+    ts = bn.parse_ts("initial s0\narc s0 a s1\narc s1 b s0\n")
+    problem = bn.CompiledProblem(ts, bn.BooleanType.of("nop", "inp", "swap"))
+    ssp, essp = bn.regions.SSP, bn.regions.ESSP
+    bad = [(7, 0, 1), (essp, 5, 0), (ssp, -1, 0), (ssp, 0, 2), (ssp, 1, 1),
+           (essp, -1, 1), (essp, 0, 2), (essp, 0, 0), (essp, 1, 1)]
+    for triple in bad:
+        with pytest.raises(bn.DomainMismatch):
+            problem.solve_index(*triple)
+    budget = bn.NodeBudget()
+    for atom in bn.atoms(ts):
+        sup, _, _ = problem.solve_index(*problem.atom_args(atom), budget)
+        assert sup is not None and bn.solve_atom(ts, problem.tau, atom) is not None
+    assert budget.used > 0
 
 
 def test_solve_atom_matches_enumeration():

@@ -113,6 +113,23 @@ def test_verify_implementation_raises_on_an_unreached_state():
     net = bn.synthesize(chain, TAU, "realize").net
     with pytest.raises(bn.Unreachable):
         bn.verify_implementation(ts, net, "realize")
+    # s2 without arcs, and synthesis itself on the relaxed system
+    ts = bn.TransitionSystem(None, ("s0", "s1", "s2"), ("a",), 0, ((0, 0, 1),))
+    for mode in bn.MODES:
+        with pytest.raises(bn.Unreachable) as exc:
+            bn.verify_implementation(ts, net, mode)
+        assert exc.value.state == "s2"
+        with pytest.raises(bn.Unreachable) as exc:
+            bn.synthesize(ts, TAU, mode)
+        assert exc.value.state == "s2"
+    # b occurs only at s2 and never fires in the net, so the live alphabets
+    # differ; the unreached state still raises rather than answering False
+    ts = bn.TransitionSystem(None, ("s0", "s1", "s2"), ("a", "b"), 0, ((0, 0, 1), (2, 1, 0)))
+    net = bn.BooleanNet(None, TAU, ("p",), ("a", "b"), {("p", "b"): "inp"}, (0,))
+    with pytest.warns(UserWarning, match="dead transitions"):
+        with pytest.raises(bn.Unreachable) as exc:
+            bn.verify_implementation(ts, net, "langsim")
+    assert exc.value.state == "s2"
 
 
 def test_synthesized_nets_verify_for_their_mode():

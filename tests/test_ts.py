@@ -216,6 +216,11 @@ def test_simulation_raises_on_a_source_state_it_never_reaches():
     with pytest.raises(bn.Unreachable) as exc:
         bn.check_relation(a, b, "embed")
     assert exc.value.state == "s2"
+    # the map fails on the tree (b has no a at s1): the walk raises first
+    a = bn.TransitionSystem(None, ("s0", "s1", "s2", "s3"), ("a",), 0, ((0, 0, 1), (1, 0, 2)))
+    with pytest.raises(bn.Unreachable) as exc:
+        bn.induced_simulation(a, b)
+    assert exc.value.state == "s3"
 
 
 def test_check_relation_requires_equal_alphabets():
