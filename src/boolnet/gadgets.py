@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from .errors import LambdaOutOfRange, NotACover, ParseError, UnknownId
 from .interactions import BooleanType
 from .modify import KINDS, ModificationPlan, apply_plan, decide
-from .regions import decide_property, property_for_mode, Witness
-from .ts import TransitionSystem, token_lines
+from .regions import has_property, property_for_mode
+from .ts import TransitionSystem, _check_name, token_lines
 
 VARIANTS = ("directed", "bidirectional")
 
@@ -38,6 +38,7 @@ class Graph3B:
     def build(cls, edges, vertices=None, name=None) -> "Graph3B":
         """edges as (u, v) name pairs; vertex order = explicit list or first
         appearance in the edge list."""
+        _check_name(name, "graph")
         order: list[str] = []
         index: dict[str, int] = {}
 
@@ -331,9 +332,7 @@ def check_equivalence(
         built = cover_to_solution(g, spec, cover)
         modified = apply_plan(ts, built)
         prop = property_for_mode(mode)
-        construction_ok = built.cost <= kappa and isinstance(
-            decide_property(modified, tau, prop), Witness
-        )
+        construction_ok = built.cost <= kappa and has_property(modified, tau, prop)
     return EquivalenceReport(
         problem=problem,
         variant=spec.variant,

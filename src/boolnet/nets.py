@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError, PlaceBoundExceeded, UnknownTransition
 from .interactions import BooleanType, apply_interaction, check_tag
-from .ts import TransitionSystem, _check_ident, _dot_quote, token_lines
+from .ts import TransitionSystem, _check_ident, _check_name, _dot_quote, token_lines
 
 # Marking tuples stay cheap well past a hundred places; the bound exists to
 # reject inputs so wide that no marking-space exploration could finish anyway.
@@ -49,6 +49,7 @@ class BooleanNet:
         in the identifier class of state and event names, whether or not a
         transition ever fires.
         """
+        _check_name(name, "net")
         if len(set(places)) != len(places):
             raise ParseError("duplicate place name")
         if len(set(transitions)) != len(transitions):

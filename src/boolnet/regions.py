@@ -355,10 +355,11 @@ def decide_property(
     """Witness covering all atoms of the property, or an unsolvable atom.
 
     Regions are reused greedily: each found region retires every atom it
-    happens to solve.  For prop="both" the ESSP atoms are processed first
-    (their regions tend to solve most state pairs as a side effect, keeping
-    witnesses small); on failure the reported atom is still the canonically
-    first unsolvable one unless canonical_failure is disabled for speed.
+    happens to solve, so no atom is sent to the kernel twice.  For
+    prop="both" the ESSP rows come first (their regions solve most state
+    pairs too).  An unsolvable ESSP atom is then held while the SSP rows run
+    on, so the canonically first unsolvable atom is the one reported, unless
+    canonical_failure is False: then it is the first atom found unsolvable.
 
     The work is done in index space (see the module docstring): the next
     atom is the lowest pending bit of the first nonempty row, the kernel
@@ -395,6 +396,7 @@ def decide_property(
     n_rows = len(rows)
     regions: list[Region] = []
     retired: list[list[tuple[int, int]]] = []  # per region: (row, atoms it retired)
+    held = None  # canonical "both": the first unsolvable ESSP atom
     for r in range(n_rows):
         kind, a = rows[r]
         todo = pending[r]
@@ -402,15 +404,11 @@ def decide_property(
             b = (todo & -todo).bit_length() - 1
             sup, sig, _ = problem.solve_index(kind, a, b, budget)
             if sup is None:
-                if prop == "both" and canonical_failure and kind == ESSP:
-                    # ssp atoms precede essp atoms canonically; report the
-                    # first unsolvable one of them if any exists
-                    for r2 in range(first_ssp, n_rows):
-                        i = rows[r2][1]
-                        for j in _bits(pending[r2]):
-                            if problem.solve_index(SSP, i, j, budget)[0] is None:
-                                return _atom(ts, SSP, i, j)
-                return _atom(ts, kind, a, b)
+                if kind == SSP or prop != "both" or not canonical_failure:
+                    return _atom(ts, kind, a, b)
+                held = _atom(ts, kind, a, b)
+                pending[:first_ssp] = [0] * first_ssp  # drop the other ESSP rows
+                break
             regions.append(problem._region(sup, sig))
             supmask = 0
             for i, v in enumerate(sup):
@@ -430,6 +428,8 @@ def decide_property(
                             gone.append((k, pend ^ left))
             retired.append(gone)
             todo = pending[r] >> (b + 1) << (b + 1)  # this row's atoms after b
+    if held is not None:
+        return held
     witness = Witness(regions)
     witness._retired = (ts, rows, retired)
     return witness
@@ -438,7 +438,8 @@ def decide_property(
 def has_property(
     ts: TransitionSystem, tau: BooleanType, prop: str, budget: NodeBudget | None = None
 ) -> bool:
-    return isinstance(decide_property(ts, tau, prop, budget), Witness)
+    """Whether the property holds; stops at the first unsolvable atom met."""
+    return isinstance(decide_property(ts, tau, prop, budget, canonical_failure=False), Witness)
 
 
 # -- textual region dump ----------------------------------------------------------

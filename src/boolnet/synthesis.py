@@ -79,7 +79,9 @@ def synthesize(
     result = decide_property(ts, tau, property_for_mode(mode), budget)
     if isinstance(result, SeparationAtom):
         return result
-    net = net_from_witness(ts, tau, result, name=name or (ts.name and ts.name + "-net"))
+    if name is None:
+        name = ts.name and ts.name + "-net"
+    net = net_from_witness(ts, tau, result, name=name)
     if not verify_implementation(ts, net, mode):
         raise VerificationFailed(f"synthesized net fails {mode} verification")
     return SynthesisResult(net=net, witness=result, mode=mode, verified=True)

@@ -32,6 +32,13 @@ def _check_ident(token: str, what: str) -> str:
     return token
 
 
+def _check_name(name: str | None, what: str) -> None:
+    """A header name must read back as the one token the serializers write:
+    not empty, and without whitespace or `#`.  None means no header."""
+    if name is not None and list(token_lines(name)) != [(1, [name])]:
+        raise ParseError(f"bad {what} name {name!r}")
+
+
 class TransitionSystem:
     """Immutable labeled transition system over indexed states and events.
 
@@ -99,6 +106,7 @@ class TransitionSystem:
         Explicit states/events fix the canonical order; otherwise it is the
         order of first appearance (initial state first).
         """
+        _check_name(name, "ts")
         arcs = [tuple(a) for a in arcs]
         if initial is None:
             raise NoInitial()

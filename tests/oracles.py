@@ -75,6 +75,16 @@ def long_run_ts(n):
     return bn.TransitionSystem.build(initial="s0", arcs=arcs)
 
 
+def hypercube_ts(k):
+    """States q0..q(2^k-1); event f_i flips bit i at every state, and one
+    self-loop q0 -x-> q0.  Under {nop,set,swap} every state pair is solvable
+    and no (x, state) atom is: x is total at every state in any region."""
+    arcs = [(f"q{s}", f"f{i}", f"q{s ^ (1 << i)}") for s in range(1 << k) for i in range(k)]
+    arcs.append(("q0", "x", "q0"))
+    states = tuple(f"q{s}" for s in range(1 << k))
+    return bn.TransitionSystem.build(initial="q0", arcs=arcs, states=states)
+
+
 def random_abab_ts(rng, max_states=12):
     """Random system containing the path s0 -a-> s1 -b-> s2 -a-> s3 -b-> s4.
 

@@ -132,6 +132,15 @@ def test_check_and_synth_budget_exit(files, monkeypatch):
     assert run(["synth", "--mode", "realize", "--type", "nop,inp,swap", str(chain)]) == 3
 
 
+def test_check_and_synth_name_the_canonical_failure_within_the_budget(files, monkeypatch, capsys):
+    monkeypatch.setenv("BOOLNET_NODE_LIMIT", "1000")
+    cube = files["dir"] / "cube.ts"
+    cube.write_text(bn.serialize_ts(oracles.hypercube_ts(6)), encoding="utf-8")
+    for argv in (["check", "--prop", "both"], ["synth", "--mode", "realize"]):
+        assert run(argv + ["--type", "nop,set,swap", str(cube)]) == 1
+        assert "no: atom (x,q1) has no solving region" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("value", ["abc", "1.5", "-5"])
 @pytest.mark.parametrize(
     "argv",

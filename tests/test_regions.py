@@ -223,6 +223,50 @@ def test_decide_property_failure_is_canonical():
     assert str(essp_only) == "(a,t2)"
 
 
+def test_decide_property_failure_is_the_first_refuted_atom():
+    rng = random.Random(1515)
+    taus = [
+        bn.BooleanType.of("nop", "inp", "swap"),
+        bn.BooleanType.of("nop", "set", "swap"),
+        bn.BooleanType.of("nop", "set", "res", "swap"),
+        bn.BooleanType.of("nop", "inp", "out", "swap", "used", "free"),
+    ]
+    failures = {"ssp": 0, "essp": 0, "both": 0}
+    for trial in range(60):
+        ts = oracles.random_ts(rng, max_states=6, max_events=3)
+        tau = taus[trial % len(taus)]
+        regions = oracles.enumerate_regions(ts, tau)
+        for prop in failures:
+            out = bn.decide_property(ts, tau, prop)
+            first = next(
+                (
+                    a
+                    for a in bn.atoms(ts)
+                    if prop in ("both", a.kind)
+                    and not oracles.brute_solve_atom(ts, tau, (a.kind, a.first, a.second), regions)
+                ),
+                None,
+            )
+            if first is None:
+                assert isinstance(out, bn.Witness)
+            else:
+                assert out == first, (str(tau), prop, out, first)
+                failures[prop] += 1
+    assert min(failures.values()) >= 5, failures
+
+
+def test_canonical_essp_failure_retires_state_pairs_on_the_way():
+    # every state pair of the cube is solvable and every (x, q) atom is not;
+    # the state pairs are retired region by region, not solved one by one
+    set_swap = bn.BooleanType.of("nop", "set", "swap")
+    out = bn.decide_property(oracles.hypercube_ts(6), set_swap, "both", bn.NodeBudget(1000))
+    assert (out.kind, str(out)) == ("essp", "(x,q1)")
+    budget = bn.NodeBudget()
+    out = bn.decide_property(oracles.hypercube_ts(7), set_swap, "both", budget)
+    assert (out.kind, str(out)) == ("essp", "(x,q1)")
+    assert budget.used < 200
+
+
 def test_decide_property_noncanonical_failure_is_still_unsolvable():
     ts = walkthrough()
     out = bn.decide_property(ts, TAU, "both", canonical_failure=False)

@@ -129,6 +129,32 @@ def test_serialize_parse_round_trip():
         assert back.initial == ts.initial
 
 
+BAD_HEADER_NAMES = ["my ts", "", "a#b", "tab\tname", "two\nlines"]
+
+
+@pytest.mark.parametrize("name", BAD_HEADER_NAMES)
+def test_header_names_the_parsers_cannot_read_back_are_rejected(name):
+    tau = bn.BooleanType.of("nop", "inp", "swap")
+    with pytest.raises(bn.ParseError, match="bad ts name"):
+        bn.TransitionSystem.build(initial="s0", arcs=[("s0", "a", "s1")], name=name)
+    with pytest.raises(bn.ParseError, match="bad net name"):
+        bn.BooleanNet(name, tau, ("p",), ("t",), {}, (0,))
+    with pytest.raises(bn.ParseError, match="bad graph name"):
+        bn.Graph3B.build([("u", "v")], name=name)
+    with pytest.raises(bn.ParseError, match="bad net name"):
+        bn.synthesize(chain("a"), tau, "realize", name=name)
+
+
+def test_header_names_round_trip_through_every_serializer():
+    tau = bn.BooleanType.of("nop", "inp", "swap")
+    ts = bn.TransitionSystem.build(initial="s0", arcs=[("s0", "a", "s1")], name="sys-1")
+    assert bn.parse_ts(bn.serialize_ts(ts)).name == "sys-1"
+    net = bn.BooleanNet("net.1", tau, ("p",), ("t",), {}, (0,))
+    assert bn.parse_net(bn.serialize_net(net)).name == "net.1"
+    g = bn.Graph3B.build([("u", "v")], name="g_1")
+    assert bn.parse_graph(bn.serialize_graph(g)).name == "g_1"
+
+
 def test_dot_output_smoke():
     dot = bn.ts_to_dot(chain("a"))
     assert dot.startswith("digraph")
