@@ -136,7 +136,8 @@ def solve(p: Problem, kind: int, goal_a: int, goal_b: int,
     trail = []    # states with freshly assigned support, for undo
     pending = []  # states whose support just landed, awaiting arc scans
     # the SSP goal pair: a support landing on one forces the complement on
-    # the other (pa + pb - s is the partner of s)
+    # the other (pa + pb - s is the partner of s), which is still unassigned:
+    # the two land in one step and are undone together
     pa, pb = (goal_a, goal_b) if kind == SSP else (-1, -1)
     essp_level = goal_a + 1 if kind == ESSP else -1
     initial = p.ts.initial
@@ -228,17 +229,11 @@ def solve(p: Problem, kind: int, goal_a: int, goal_b: int,
                             pending.append(o)
                             if o == pa or o == pb:
                                 q = pa + pb - o
-                                old = sup[q]
-                                if old < 0:
-                                    sup[q] = 1 - v
-                                    cause_lv[q] = lv
-                                    cause_arc[q] = ar
-                                    trail.append(q)
-                                    pending.append(q)
-                                elif old == v:
-                                    cm = cause_lv[q] | lv
-                                    conflict_arcs = cause_arc[q] | ar
-                                    break
+                                sup[q] = 1 - v
+                                cause_lv[q] = lv
+                                cause_arc[q] = ar
+                                trail.append(q)
+                                pending.append(q)
                         elif old != v:
                             cm = cause_lv[o] | lv
                             conflict_arcs = cause_arc[o] | ar
@@ -271,17 +266,11 @@ def solve(p: Problem, kind: int, goal_a: int, goal_b: int,
                         pending.append(o)
                         if o == pa or o == pb:
                             q = pa + pb - o
-                            old = sup[q]
-                            if old < 0:
-                                sup[q] = 1 - v
-                                cause_lv[q] = lv
-                                cause_arc[q] = ar
-                                trail.append(q)
-                                pending.append(q)
-                            elif old == v:
-                                cm = cause_lv[q] | lv
-                                conflict_arcs = cause_arc[q] | ar
-                                break
+                            sup[q] = 1 - v
+                            cause_lv[q] = lv
+                            cause_arc[q] = ar
+                            trail.append(q)
+                            pending.append(q)
                     elif old != v:
                         cm = cause_lv[o] | lvs | lbit
                         conflict_arcs = cause_arc[o] | ars | bit

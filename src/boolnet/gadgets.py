@@ -18,7 +18,7 @@ from .errors import LambdaOutOfRange, NotACover, ParseError, UnknownId
 from .interactions import BooleanType
 from .modify import KINDS, ModificationPlan, apply_plan, decide
 from .regions import has_property, property_for_mode
-from .ts import TransitionSystem, _check_name, token_lines
+from .ts import TransitionSystem, _check_name, directives
 
 VARIANTS = ("directed", "bidirectional")
 
@@ -37,13 +37,16 @@ class Graph3B:
     @classmethod
     def build(cls, edges, vertices=None, name=None) -> "Graph3B":
         """edges as (u, v) name pairs; vertex order = explicit list or first
-        appearance in the edge list."""
+        appearance in the edge list.  Every name, of the graph and of each
+        vertex, must be one token the graph format can read back
+        (ts._check_name)."""
         _check_name(name, "graph")
         order: list[str] = []
         index: dict[str, int] = {}
 
         def intern(v: str) -> int:
             if v not in index:
+                _check_name(v, "vertex")
                 index[v] = len(order)
                 order.append(v)
             return index[v]
@@ -87,30 +90,29 @@ class Graph3B:
         return f"Graph3B({self.name!r}, n={len(self.vertices)}, m={len(self.edges)})"
 
 
+_GRAPH_SHAPES = {
+    "graph": (1, "expected `graph <name>`", "duplicate graph declaration"),
+    "vertex": (1, "expected `vertex <v>`", None),
+    "edge": (2, "expected `edge <u> <v>`", None),
+}
+
+
 def parse_graph(text: str) -> Graph3B:
+    """Parse the graph format (read by ts.directives): optional `graph
+    <name>`, any `vertex <v>` lines, which then fix the vertex order, and
+    `edge <u> <v>` lines; the graph is then checked as Graph3B.build checks
+    it."""
     name = None
     vertices: list[str] = []
     edges: list[tuple[str, str]] = []
-    saw_vertex_lines = False
-    for no, parts in token_lines(text):
+    for _, parts in directives(text, _GRAPH_SHAPES):
         if parts[0] == "graph":
-            if len(parts) != 2:
-                raise ParseError(f"line {no}: expected `graph <name>`")
-            if name is not None:
-                raise ParseError(f"line {no}: duplicate graph declaration")
             name = parts[1]
         elif parts[0] == "vertex":
-            if len(parts) != 2:
-                raise ParseError(f"line {no}: expected `vertex <v>`")
-            saw_vertex_lines = True
             vertices.append(parts[1])
-        elif parts[0] == "edge":
-            if len(parts) != 3:
-                raise ParseError(f"line {no}: expected `edge <u> <v>`")
-            edges.append((parts[1], parts[2]))
         else:
-            raise ParseError(f"line {no}: unknown directive {parts[0]!r}")
-    return Graph3B.build(edges, vertices=vertices if saw_vertex_lines else None, name=name)
+            edges.append((parts[1], parts[2]))
+    return Graph3B.build(edges, vertices=vertices or None, name=name)
 
 
 def serialize_graph(g: Graph3B) -> str:
@@ -262,10 +264,8 @@ def cover_to_solution(g: Graph3B, spec: GadgetSpec, cover) -> ModificationPlan:
                 ga, gb = (0, 1), (0, 1)
             elif a_in:
                 ga, gb = (1, 0), (0, 0)
-            elif b_in:
+            else:  # b_in: the cover was checked above
                 ga, gb = (0, 0), (0, 1)
-            else:  # unreachable: cover checked above
-                raise NotACover("uncovered edge")
             for vert, pair in ((a, ga), (b, gb)):
                 if vert in cov:
                     for visit in pair:

@@ -59,7 +59,7 @@ from .regions import (
     decide_property,
     property_for_mode,
 )
-from .ts import MODES, TransitionSystem, spanning_tree, token_lines
+from .ts import MODES, TransitionSystem, directives, spanning_tree
 
 KINDS = ("split", "edge", "event", "state")
 
@@ -279,73 +279,61 @@ def serialize_plan(plan: ModificationPlan) -> str:
     return "\n".join(out) + "\n"
 
 
+_PLAN_SHAPES = {
+    "plan": (3, "expected `plan <kind> cost <n>`", "second plan header"),
+    "split": (3, "stray split line", None),
+    "rm-edge": (3, "stray rm-edge line", None),
+    "rm-event": (1, "stray rm-event line", None),
+    "rm-state": (1, "stray rm-state line", None),
+}
+# the one payload line each plan kind admits
+_PAYLOAD = {"split": "split", "edge": "rm-edge", "event": "rm-event", "state": "rm-state"}
+
+
 def parse_plan(text: str) -> ModificationPlan:
-    kind = None
-    cost = None
-    split_acc: dict[str, dict[int, int]] = {}
-    split_order: list[str] = []
-    edges: list[tuple[str, str, str]] = []
-    events: list[str] = []
-    states: list[str] = []
-    for no, parts in token_lines(text):
-        if parts[0] == "plan":
-            if kind is not None:
-                raise ParseError(f"line {no}: second plan header")
-            if len(parts) != 4 or parts[2] != "cost":
+    """Parse a plan dump (read by ts.directives): one `plan <kind> cost <n>`
+    header first, then only its kind's payload lines: `split <event>
+    <occurrence> <group>`, `rm-edge <src> <event> <dst>`, `rm-event <event>`
+    or `rm-state <state>`.  Each event's split occurrences must be 0..n-1,
+    each given once."""
+    kind = cost = None
+    occurrences: dict[str, dict[int, int]] = {}  # split event -> occurrence -> group
+    payload: list = []
+    for no, parts in directives(text, _PLAN_SHAPES):
+        kw = parts[0]
+        if kw == "plan":
+            _, kind, word, n = parts
+            if word != "cost":
                 raise ParseError(f"line {no}: expected `plan <kind> cost <n>`")
-            kind = parts[1]
             if kind not in KINDS:
                 raise ParseError(f"line {no}: unknown plan kind {kind!r}")
             try:
-                cost = int(parts[3])
+                cost = int(n)
             except ValueError:
-                raise ParseError(f"line {no}: bad cost {parts[3]!r}") from None
+                raise ParseError(f"line {no}: bad cost {n!r}") from None
         elif kind is None:
             raise ParseError(f"line {no}: content before plan header")
-        elif parts[0] == "split":
-            if kind != "split" or len(parts) != 4:
-                raise ParseError(f"line {no}: stray split line")
-            name = parts[1]
+        elif kw != _PAYLOAD[kind]:
+            raise ParseError(f"line {no}: stray {kw} line")
+        elif kw == "split":
             try:
                 pos, g = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError(f"line {no}: bad split indices") from None
-            if name not in split_acc:
-                split_acc[name] = {}
-                split_order.append(name)
-            if pos in split_acc[name]:
-                raise ParseError(f"line {no}: occurrence {pos} of {name!r} assigned twice")
-            split_acc[name][pos] = g
-        elif parts[0] == "rm-edge":
-            if kind != "edge" or len(parts) != 4:
-                raise ParseError(f"line {no}: stray rm-edge line")
-            edges.append((parts[1], parts[2], parts[3]))
-        elif parts[0] == "rm-event":
-            if kind != "event" or len(parts) != 2:
-                raise ParseError(f"line {no}: stray rm-event line")
-            events.append(parts[1])
-        elif parts[0] == "rm-state":
-            if kind != "state" or len(parts) != 2:
-                raise ParseError(f"line {no}: stray rm-state line")
-            states.append(parts[1])
+            occ = occurrences.setdefault(parts[1], {})
+            if pos in occ:
+                raise ParseError(f"line {no}: occurrence {pos} of {parts[1]!r} assigned twice")
+            occ[pos] = g
         else:
-            raise ParseError(f"line {no}: unknown directive {parts[0]!r}")
-    if kind is None or cost is None:
+            payload.append(tuple(parts[1:]) if kw == "rm-edge" else parts[1])
+    if kind is None:
         raise ParseError("missing plan header")
-    splits = []
-    for name in split_order:
-        occ = split_acc[name]
+    for name, occ in occurrences.items():
         if set(occ) != set(range(len(occ))):
             raise ParseError(f"split of {name!r} skips an occurrence index")
-        splits.append((name, tuple(occ[i] for i in range(len(occ)))))
-    return ModificationPlan(
-        kind=kind,
-        cost=cost,
-        splits=tuple(splits),
-        edges=tuple(edges),
-        events=tuple(events),
-        states=tuple(states),
-    )
+        payload.append((name, tuple(occ[i] for i in range(len(occ)))))
+    # the payload fills the plan's field of its kind, as ModificationPlan names it
+    return ModificationPlan(kind=kind, cost=cost, **{kind + "s": tuple(payload)})
 
 
 # -- fast (polynomial) decisions ------------------------------------------------
@@ -748,15 +736,13 @@ def _search_removal(ts, tau, kind, mode, kappa, budget) -> ModificationPlan | No
     # viable combo must hit it: it is kept as the mask of the items that do.
     # A soft one's atom exists only once its alpha arc is removed: it is
     # checked per candidate.  The store only grows: each core refutes alone.
-    cert_seen: set[tuple] = set()
+    # No pair is recorded twice: every later candidate removes an arc of
+    # the core or loses the atom (the hitting walk, the soft screen).
     hard: list[int] = []
     soft_list: list[tuple] = []
 
     def record_certificate(arc_origin, key, core):
         mask = _mask_of(arc_origin[a] for a in _bits(core))
-        if (key, mask) in cert_seen:
-            return
-        cert_seen.add((key, mask))
         if key[3]:
             soft_list.append((key, mask))
             return

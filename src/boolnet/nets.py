@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError, PlaceBoundExceeded, UnknownTransition
 from .interactions import BooleanType, apply_interaction, check_tag
-from .ts import TransitionSystem, _check_ident, _check_name, _dot_quote, token_lines
+from .ts import TransitionSystem, _check_ident, _check_name, _dot_quote, directives
 
 # Marking tuples stay cheap well past a hundred places; the bound exists to
 # reject inputs so wide that no marking-space exploration could finish anyway.
@@ -190,12 +190,23 @@ def reachability_graph(net: BooleanNet) -> TransitionSystem:
 # -- textual format ----------------------------------------------------------------
 
 
+_PLACE_LINE = "expected `place <name> <0|1>`"
+_NET_SHAPES = {
+    "net": (1, "expected `net <name>`", "duplicate net declaration"),
+    "type": (None, "expected `type <tags>`", "duplicate type declaration"),
+    "place": (2, _PLACE_LINE, None),
+    "trans": (1, "expected `trans <name>`", None),
+    "flow": (3, "expected `flow <place> <trans> <interaction>`", None),
+}
+
+
 def parse_net(text: str, strict: bool = False) -> BooleanNet:
-    """Parse the line-oriented net format.
+    """Parse the line-oriented net format (read by ts.directives).
 
     Lines: optional `net <name>`, `type <tags>`, `place <p> <0|1>`,
     `trans <t>`, `flow <p> <t> <interaction>`.  Missing flow entries default
     to nop; strict mode requires every place/transition pair to be declared.
+    The net is then checked as the BooleanNet constructor checks it.
     """
     name = None
     tau: BooleanType | None = None
@@ -203,38 +214,24 @@ def parse_net(text: str, strict: bool = False) -> BooleanNet:
     m0: list[int] = []
     transitions: list[str] = []
     flow: dict[tuple[str, str], str] = {}
-    for no, parts in token_lines(text):
+    for no, parts in directives(text, _NET_SHAPES):
         kw = parts[0]
         if kw == "net":
-            if len(parts) != 2:
-                raise ParseError(f"line {no}: expected `net <name>`")
-            if name is not None:
-                raise ParseError(f"line {no}: duplicate net declaration")
             name = parts[1]
         elif kw == "type":
-            if len(parts) < 2:
-                raise ParseError(f"line {no}: expected `type <tags>`")
-            if tau is not None:
-                raise ParseError(f"line {no}: duplicate type declaration")
             tau = BooleanType.parse(" ".join(parts[1:]))
         elif kw == "place":
-            if len(parts) != 3 or parts[2] not in ("0", "1"):
-                raise ParseError(f"line {no}: expected `place <name> <0|1>`")
+            if parts[2] not in ("0", "1"):
+                raise ParseError(f"line {no}: {_PLACE_LINE}")
             places.append(parts[1])
             m0.append(int(parts[2]))
         elif kw == "trans":
-            if len(parts) != 2:
-                raise ParseError(f"line {no}: expected `trans <name>`")
             transitions.append(parts[1])
-        elif kw == "flow":
-            if len(parts) != 4:
-                raise ParseError(f"line {no}: expected `flow <place> <trans> <interaction>`")
+        else:
             key = (parts[1], parts[2])
             if key in flow:
                 raise ParseError(f"line {no}: duplicate flow entry {key}")
             flow[key] = check_tag(parts[3])
-        else:
-            raise ParseError(f"line {no}: unknown directive {kw!r}")
     if tau is None:
         raise ParseError("missing `type` declaration")
     if strict:

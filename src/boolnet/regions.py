@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import _solver_py as _kernel
 from .errors import DomainMismatch, ParseError, SearchBudgetExceeded
 from .interactions import INTERACTIONS, BooleanType, apply_interaction, check_tag
-from .ts import TransitionSystem, spanning_tree, token_lines
+from .ts import TransitionSystem, directives, spanning_tree
 
 KERNEL = _kernel.KERNEL_NAME
 
@@ -458,38 +458,36 @@ def serialize_regions(regions: list[Region] | Witness) -> str:
     return "\n".join(out) + "\n"
 
 
+_SUP_LINE = "expected `sup <state> <0|1>`"
+_REGION_SHAPES = {
+    "region": (0, "expected bare `region`", None),
+    "sup": (2, _SUP_LINE, None),
+    "sig": (2, "expected `sig <event> <interaction>`", None),
+}
+
+
 def parse_regions(text: str) -> list[Region]:
+    """Parse a region dump (read by ts.directives): each bare `region` line
+    opens a region, and the `sup <state> <0|1>` and `sig <event>
+    <interaction>` lines after it fill its support and signature."""
     regions: list[Region] = []
     sup: dict[str, int] | None = None
-    sig: dict[str, str] | None = None
-
-    def flush():
-        if sup is not None:
-            regions.append(Region(support=sup, signature=sig or {}))
-
-    for no, parts in token_lines(text):
-        if parts[0] == "region":
-            if len(parts) != 1:
-                raise ParseError(f"line {no}: expected bare `region`")
-            flush()
-            sup, sig = {}, {}
-        elif parts[0] == "sup":
-            if sup is None:
-                raise ParseError(f"line {no}: `sup` before `region`")
-            if len(parts) != 3 or parts[2] not in ("0", "1"):
-                raise ParseError(f"line {no}: expected `sup <state> <0|1>`")
+    sig: dict[str, str] = {}
+    for no, parts in directives(text, _REGION_SHAPES):
+        kw = parts[0]
+        if kw == "region":
+            regions.append(Region({}, {}))
+            sup, sig = regions[-1].support, regions[-1].signature
+        elif sup is None:
+            raise ParseError(f"line {no}: `{kw}` before `region`")
+        elif kw == "sup":
+            if parts[2] not in ("0", "1"):
+                raise ParseError(f"line {no}: {_SUP_LINE}")
             if parts[1] in sup:
                 raise ParseError(f"line {no}: duplicate sup for {parts[1]!r}")
             sup[parts[1]] = int(parts[2])
-        elif parts[0] == "sig":
-            if sig is None:
-                raise ParseError(f"line {no}: `sig` before `region`")
-            if len(parts) != 3:
-                raise ParseError(f"line {no}: expected `sig <event> <interaction>`")
+        else:
             if parts[1] in sig:
                 raise ParseError(f"line {no}: duplicate sig for {parts[1]!r}")
             sig[parts[1]] = check_tag(parts[2])
-        else:
-            raise ParseError(f"line {no}: unknown directive {parts[0]!r}")
-    flush()
     return regions

@@ -34,8 +34,9 @@ def _check_ident(token: str, what: str) -> str:
 
 def _check_name(name: str | None, what: str) -> None:
     """A header name must read back as the one token the serializers write:
-    not empty, and without whitespace or `#`.  None means no header."""
-    if name is not None and list(token_lines(name)) != [(1, [name])]:
+    a string, not empty, and without whitespace or `#`.  None means no
+    header."""
+    if name is not None and (not isinstance(name, str) or list(token_lines(name)) != [(1, [name])]):
         raise ParseError(f"bad {what} name {name!r}")
 
 
@@ -227,40 +228,64 @@ def token_lines(text: str):
     """(line number, tokens) for each line of text with any tokens left once
     its `#` comment is cut off."""
     for no, raw in enumerate(text.splitlines(), 1):
-        parts = raw.split("#", 1)[0].split()
+        parts = raw.partition("#")[0].split()
         if parts:
             yield no, parts
 
 
+def directives(text: str, shapes: dict):
+    """(line number, tokens) of each of token_lines(text) once its first
+    token, the keyword, is checked: the one line grammar of every text
+    format.  shapes maps each keyword to (count, wrong, once): how many
+    tokens follow it (None: one or more), the message for another count,
+    and for a header, which may appear once, the message for a second one
+    (None for other keywords).  An unknown keyword, a wrong count and a
+    repeated header, checked in that order, raise ParseError naming the
+    line.  The tokens are yielded as read, keyword first, so that no line
+    is copied."""
+    seen = set()
+    for no, parts in token_lines(text):
+        kw = parts[0]
+        shape = shapes.get(kw)
+        if shape is None:
+            raise ParseError(f"line {no}: unknown directive {kw!r}")
+        count, wrong, once = shape
+        n = len(parts) - 1
+        if n != count and (count is not None or not n):
+            raise ParseError(f"line {no}: {wrong}")
+        if once is not None:
+            if kw in seen:
+                raise ParseError(f"line {no}: {once}")
+            seen.add(kw)
+        yield no, parts
+
+
+_TS_SHAPES = {
+    "ts": (1, "expected `ts <name>`", "duplicate ts declaration"),
+    "initial": (1, "expected `initial <state>`", "duplicate initial declaration"),
+    "arc": (3, "expected `arc <src> <event> <dst>`", None),
+}
+
+
 def parse_ts(text: str) -> TransitionSystem:
-    """Parse the line-oriented ts format.
+    """Parse the line-oriented ts format (read by directives).
 
     Lines: optional `ts <name>`, one `initial <state>`, any number of
     `arc <src> <event> <dst>`.  `#` starts a comment; blank lines are ignored.
+    A text without `initial` raises NoInitial; the system is then checked as
+    TransitionSystem.build checks it.
     """
     name = None
     initial = None
     arcs: list[tuple[str, str, str]] = []
-    for no, parts in token_lines(text):
+    for _, parts in directives(text, _TS_SHAPES):
         kw = parts[0]
-        if kw == "ts":
-            if len(parts) != 2:
-                raise ParseError(f"line {no}: expected `ts <name>`")
-            if name is not None:
-                raise ParseError(f"line {no}: duplicate ts declaration")
-            name = parts[1]
-        elif kw == "initial":
-            if len(parts) != 2:
-                raise ParseError(f"line {no}: expected `initial <state>`")
-            if initial is not None:
-                raise ParseError(f"line {no}: duplicate initial declaration")
-            initial = parts[1]
-        elif kw == "arc":
-            if len(parts) != 4:
-                raise ParseError(f"line {no}: expected `arc <src> <event> <dst>`")
+        if kw == "arc":  # nearly every line of a system
             arcs.append((parts[1], parts[2], parts[3]))
+        elif kw == "initial":
+            initial = parts[1]
         else:
-            raise ParseError(f"line {no}: unknown directive {kw!r}")
+            name = parts[1]
     if initial is None:
         raise NoInitial()
     return TransitionSystem.build(initial=initial, arcs=arcs, name=name)

@@ -109,10 +109,11 @@ def test_modify_budget_exit(files, monkeypatch):
 
 
 def test_modify_negative_kappa_is_a_usage_error(files, capsys):
-    argv = ["modify", "--kind", "edge", "--mode", "embed", "--kappa", "-1", "--type", "nop,inp,swap"]
-    assert run(argv + [str(files["stuck"])]) == 2
-    err = capsys.readouterr().err
-    assert "error:" in err and "--kappa" in err and "Traceback" not in err
+    for kappa in ("-1", "abc"):
+        argv = ["modify", "--kind", "edge", "--mode", "embed", "--kappa", kappa, "--type", "nop,inp,swap"]
+        assert run(argv + [str(files["stuck"])]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "--kappa" in err and "Traceback" not in err
 
 
 def test_modify_long_event_run_budget_exit(files, monkeypatch, capsys):
@@ -191,6 +192,13 @@ def test_parse_error_exit(files, tmp_path, capsys):
     bad.write_text("arc s0 a s1\n", encoding="utf-8")
     assert run(["check", "--prop", "ssp", "--type", "nop", str(bad)]) == 2
     assert capsys.readouterr().err
+
+
+def test_unreadable_input_is_a_usage_error(tmp_path, capsys):
+    for path in (tmp_path / "missing.ts", tmp_path):
+        assert run(["check", "--prop", "ssp", "--type", "nop,inp,swap", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err and "Traceback" not in err
 
 
 def test_non_utf8_input_is_a_parse_error(tmp_path, capsys):

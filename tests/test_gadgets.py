@@ -59,6 +59,57 @@ def test_parse_graph_rejects_repeated_graph_line():
         bn.parse_graph("graph g\nedge a b\ngraph h\n")
 
 
+# Each input holds one error: the exception class and its whole message,
+# `line N:` prefix included, for every error parse_graph raises.
+PARSE_GRAPH_ERRORS = {
+    "vertex a\nwibble": (bn.ParseError, "line 2: unknown directive 'wibble'"),
+    "graph g\nedge a b\ngraph h": (bn.ParseError, "line 3: duplicate graph declaration"),
+    "graph\nedge a b": (bn.ParseError, "line 1: expected `graph <name>`"),
+    "graph g h\nedge a b": (bn.ParseError, "line 1: expected `graph <name>`"),
+    "vertex\nedge a b": (bn.ParseError, "line 1: expected `vertex <v>`"),
+    "vertex a b\nedge a b": (bn.ParseError, "line 1: expected `vertex <v>`"),
+    "edge a": (bn.ParseError, "line 1: expected `edge <u> <v>`"),
+    "edge a b c": (bn.ParseError, "line 1: expected `edge <u> <v>`"),
+    "edge a a": (bn.ParseError, "self-loop at 'a'"),
+    "edge a b\nedge b a": (bn.ParseError, "duplicate edge 'b' 'a'"),
+    "vertex a\nvertex a\nedge a b": (bn.ParseError, "vertex 'a' listed twice"),
+    "vertex a\nvertex b\nvertex c\nedge a b": (bn.ParseError, "vertex 'c' has no edge"),
+    "vertex a\nedge a b": (bn.UnknownId, "unknown identifier 'b' (edge endpoint)"),
+    "edge a b\nedge a c\nedge a d\nedge a e": (
+        bn.ParseError,
+        "vertex 'a' lies in 4 edges, at most 3 allowed",
+    ),
+}
+
+
+@pytest.mark.parametrize("text", list(PARSE_GRAPH_ERRORS))
+def test_parse_graph_rejects(text):
+    exc, message = PARSE_GRAPH_ERRORS[text]
+    with pytest.raises(exc) as info:
+        bn.parse_graph(text)
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", ["a b", "v#1", "", "tab\tv", "two\nlines", 7])
+def test_vertex_names_the_graph_format_cannot_read_back_are_rejected(name):
+    for edges, vertices in (
+        ([(name, "c")], None),
+        ([("c", name)], None),
+        ([("c", "d")], ["c", "d", name]),
+    ):
+        with pytest.raises(bn.ParseError, match="^bad vertex name "):
+            bn.Graph3B.build(edges, vertices=vertices)
+
+
+def test_vertex_names_round_trip_through_the_graph_format():
+    names = ["v0", "x.1", "(a,b)", "⊥", "é", "a$", "ι'"]
+    for vertices in (None, list(reversed(names))):
+        g = bn.Graph3B.build(list(zip(names, names[1:])), vertices=vertices, name="g")
+        back = bn.parse_graph(bn.serialize_graph(g))
+        assert (back.name, back.vertices, back.edges) == (g.name, g.vertices, g.edges)
+
+
 def test_brute_force_vc_goldens():
     g = worked_graph()
     assert bn.brute_force_vc(g, 0) is None

@@ -200,21 +200,43 @@ def test_plan_serialize_parse_round_trip():
     del ts
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "split a 0 0",  # no header
-        "plan wibble cost 0",
-        "plan split cost x",
-        "plan edge cost 1\nrm-edge s0 a",  # arity
-        "plan split cost 2\nsplit a 0 0\nsplit a 0 1",  # occurrence assigned twice
-        "plan split cost 2\nsplit a 1 1",  # occurrence 0 skipped
-        "plan edge cost 1\nrm-state s0",  # wrong payload for kind
-    ],
-)
+# Each input holds one error: the exception class and its whole message,
+# `line N:` prefix included, for every error parse_plan raises.
+PARSE_PLAN_ERRORS = {
+    "split a 0 0": "line 1: content before plan header",
+    "plan wibble cost 0": "line 1: unknown plan kind 'wibble'",
+    "plan split cost x": "line 1: bad cost 'x'",
+    "plan edge cost 1\nrm-edge s0 a": "line 2: stray rm-edge line",
+    "plan split cost 2\nsplit a 0 0\nsplit a 0 1": "line 3: occurrence 0 of 'a' assigned twice",
+    "plan split cost 2\nsplit a 1 1": "split of 'a' skips an occurrence index",
+    "plan edge cost 1\nrm-state s0": "line 2: stray rm-state line",
+    "plan edge cost 0\nplan edge cost 0": "line 2: second plan header",
+    "plan edge cost": "line 1: expected `plan <kind> cost <n>`",
+    "plan edge price 0": "line 1: expected `plan <kind> cost <n>`",
+    "plan edge cost 0 1": "line 1: expected `plan <kind> cost <n>`",
+    "plan edge cost -1": "negative plan cost -1",
+    "plan split cost 1\nsplit a 0 x": "line 2: bad split indices",
+    "plan split cost 1\nsplit a 0": "line 2: stray split line",
+    "plan edge cost 1\nsplit a 0 0": "line 2: stray split line",
+    "plan split cost 1\nrm-edge a b c": "line 2: stray rm-edge line",
+    "plan event cost 1\nrm-event": "line 2: stray rm-event line",
+    "plan edge cost 1\nrm-event a": "line 2: stray rm-event line",
+    "plan state cost 1\nrm-state a b": "line 2: stray rm-state line",
+    "plan split cost 2\nsplit a 0 0\nsplit b 0 0\nsplit a 1 0\nsplit a 3 0": (
+        "split of 'a' skips an occurrence index"
+    ),
+    "plan edge cost 0\nwibble": "line 2: unknown directive 'wibble'",
+    "": "missing plan header",
+    "# nothing\n": "missing plan header",
+}
+
+
+@pytest.mark.parametrize("text", list(PARSE_PLAN_ERRORS))
 def test_parse_plan_rejects(text):
-    with pytest.raises(bn.ParseError):
+    with pytest.raises(bn.ParseError) as info:
         bn.parse_plan(text)
+    assert type(info.value) is bn.ParseError
+    assert str(info.value) == PARSE_PLAN_ERRORS[text]
 
 
 def test_decide_validates_inputs():

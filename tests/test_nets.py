@@ -146,24 +146,60 @@ def test_parse_strict_requires_full_flow():
     trans t
     """
     assert bn.parse_net(text).flow[("p", "t")] == "nop"
-    with pytest.raises(bn.ParseError):
+    with pytest.raises(bn.ParseError, match=r"^strict mode: flow p/t undeclared$"):
         bn.parse_net(text, strict=True)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "place p 0\ntrans t",  # no type
-        "type nop\nplace p 2\ntrans t",  # bad bit
-        "type nop\nplace p 0\nplace p 1\ntrans t",  # duplicate place
-        "type nop\nplace p 0\ntrans t\nflow p t inp",  # tag outside type
-        "type nop\nplace p 0\ntrans t\nflow p t nop\nflow p t nop",  # duplicate flow
-        "type nop\nplace p 0\ntrans t\nwibble",  # unknown directive
-    ],
-)
+# Each input holds one error: the exception class and its whole message,
+# `line N:` prefix included, for every error parse_net raises.
+PARSE_ERRORS = {
+    "place p 0\ntrans t": (bn.ParseError, "missing `type` declaration"),
+    "type nop\nplace p 2\ntrans t": (bn.ParseError, "line 2: expected `place <name> <0|1>`"),
+    "type nop\nplace p 0\nplace p 1\ntrans t": (bn.ParseError, "duplicate place name"),
+    "type nop\nplace p 0\ntrans t\nflow p t inp": (bn.ParseError, "flow p/t uses 'inp' outside type nop"),
+    "type nop\nplace p 0\ntrans t\nflow p t nop\nflow p t nop": (
+        bn.ParseError,
+        "line 5: duplicate flow entry ('p', 't')",
+    ),
+    "type nop\nplace p 0\ntrans t\nwibble": (bn.ParseError, "line 4: unknown directive 'wibble'"),
+    "net\ntype nop": (bn.ParseError, "line 1: expected `net <name>`"),
+    "net a b\ntype nop": (bn.ParseError, "line 1: expected `net <name>`"),
+    "net a\ntype nop\nnet b": (bn.ParseError, "line 3: duplicate net declaration"),
+    "type\nplace p 0": (bn.ParseError, "line 1: expected `type <tags>`"),
+    "type nop\ntype nop": (bn.ParseError, "line 2: duplicate type declaration"),
+    "type nop,knop": (bn.UnknownInteraction, "unknown interaction 'knop'"),
+    "type nop\nplace p": (bn.ParseError, "line 2: expected `place <name> <0|1>`"),
+    "type nop\nplace p 0 1": (bn.ParseError, "line 2: expected `place <name> <0|1>`"),
+    "type nop\ntrans": (bn.ParseError, "line 2: expected `trans <name>`"),
+    "type nop\ntrans t u": (bn.ParseError, "line 2: expected `trans <name>`"),
+    "type nop\nplace p 0\ntrans t\nflow p t": (
+        bn.ParseError,
+        "line 4: expected `flow <place> <trans> <interaction>`",
+    ),
+    "type nop\nplace p 0\ntrans t\nflow p t nop x": (
+        bn.ParseError,
+        "line 4: expected `flow <place> <trans> <interaction>`",
+    ),
+    "type nop\nplace p 0\ntrans t\nflow p t knop": (bn.UnknownInteraction, "unknown interaction 'knop'"),
+    "type nop inp\nplace p 0\ntrans t\nflow p t inp\nedge a b": (
+        bn.ParseError,
+        "line 5: unknown directive 'edge'",
+    ),
+    "type nop\ntrans t\nflow p t nop": (bn.ParseError, "flow references unknown place 'p'"),
+    "type nop\nplace p 0\nflow p t nop": (bn.ParseError, "flow references unknown transition 't'"),
+    "type nop\nplace p$ 0": (bn.ParseError, "bad place name 'p$'"),
+    "type nop\ntrans t$": (bn.ParseError, "bad transition name 't$'"),
+    "type nop\ntrans t\ntrans t": (bn.ParseError, "duplicate transition name"),
+}
+
+
+@pytest.mark.parametrize("text", list(PARSE_ERRORS))
 def test_parse_rejects(text):
-    with pytest.raises(bn.ParseError):
+    exc, message = PARSE_ERRORS[text]
+    with pytest.raises(exc) as info:
         bn.parse_net(text)
+    assert type(info.value) is exc
+    assert str(info.value) == message
 
 
 def test_dot_output_smoke():

@@ -383,19 +383,32 @@ def test_serialize_parse_round_trip():
     assert bn.parse_regions(bn.serialize_regions([])) == []
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "sup s 0",  # support before any region header
-        "region\nsup s 2\nsig a nop",  # bad bit
-        "region\nsup s 0\nsig a knop",  # bad tag
-        "region\nsup s 0\nsup s 1\nsig a nop",  # duplicate support
-        "region\nwibble",  # unknown directive
-    ],
-)
+# Each input holds one error: the exception class and its whole message,
+# `line N:` prefix included, for every error parse_regions raises.
+PARSE_ERRORS = {
+    "sup s 0": (bn.ParseError, "line 1: `sup` before `region`"),
+    "region\nsup s 2\nsig a nop": (bn.ParseError, "line 2: expected `sup <state> <0|1>`"),
+    "region\nsup s 0\nsig a knop": (bn.UnknownInteraction, "unknown interaction 'knop'"),
+    "region\nsup s 0\nsup s 1\nsig a nop": (bn.ParseError, "line 3: duplicate sup for 's'"),
+    "region\nwibble": (bn.ParseError, "line 2: unknown directive 'wibble'"),
+    "region x": (bn.ParseError, "line 1: expected bare `region`"),
+    "sig a nop": (bn.ParseError, "line 1: `sig` before `region`"),
+    "region\nsig a": (bn.ParseError, "line 2: expected `sig <event> <interaction>`"),
+    "region\nsig a nop x": (bn.ParseError, "line 2: expected `sig <event> <interaction>`"),
+    "region\nsig a nop\nsig a inp": (bn.ParseError, "line 3: duplicate sig for 'a'"),
+    "region\nsup s": (bn.ParseError, "line 2: expected `sup <state> <0|1>`"),
+    "region\nsup s 0 1": (bn.ParseError, "line 2: expected `sup <state> <0|1>`"),
+    "region\nsup s 0\nregion\nsup t 0\nsup t 1": (bn.ParseError, "line 5: duplicate sup for 't'"),
+}
+
+
+@pytest.mark.parametrize("text", list(PARSE_ERRORS))
 def test_parse_regions_rejects(text):
-    with pytest.raises((bn.ParseError, bn.UnknownInteraction)):
+    exc, message = PARSE_ERRORS[text]
+    with pytest.raises(exc) as info:
         bn.parse_regions(text)
+    assert type(info.value) is exc
+    assert str(info.value) == message
 
 
 def test_kernel_name_is_reported():

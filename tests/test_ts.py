@@ -103,19 +103,44 @@ def test_parse_golden():
     assert ts.arcs == ((0, 0, 1), (1, 1, 2))
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "arc s0 a s1",  # no initial
-        "initial s0\ninitial s1\narc s0 a s0",  # duplicate directive
-        "initial s0\nfrobnicate s0",  # unknown directive
-        "initial s0\narc s0 a",  # wrong arity
-        "initial s0\narc s0 a s1\narc s0 a s1",  # duplicate arc
-    ],
-)
+# Each input holds one error: the exception class and its whole message,
+# `line N:` prefix included, for every error parse_ts raises.
+PARSE_ERRORS = {
+    "arc s0 a s1": (bn.NoInitial, "no initial state declared"),
+    "initial s0\ninitial s1\narc s0 a s0": (bn.ParseError, "line 2: duplicate initial declaration"),
+    "initial s0\nfrobnicate s0": (bn.ParseError, "line 2: unknown directive 'frobnicate'"),
+    "initial s0\narc s0 a": (bn.ParseError, "line 2: expected `arc <src> <event> <dst>`"),
+    "initial s0\narc s0 a s1\narc s0 a s1": (
+        bn.NonDeterministic,
+        "state 's0' has two outgoing arcs labeled 'a'",
+    ),
+    "ts\ninitial s0": (bn.ParseError, "line 1: expected `ts <name>`"),
+    "ts a b\ninitial s0": (bn.ParseError, "line 1: expected `ts <name>`"),
+    "ts a\ninitial s0\nts b": (bn.ParseError, "line 3: duplicate ts declaration"),
+    "initial\narc s0 a s0": (bn.ParseError, "line 1: expected `initial <state>`"),
+    "initial s0 s1\narc s0 a s0": (bn.ParseError, "line 1: expected `initial <state>`"),
+    "initial s0\narc s0 a s1 s2": (bn.ParseError, "line 2: expected `arc <src> <event> <dst>`"),
+    "initial s0\narc s0 a s1\narc s1 b s0 # c\ninitial s1": (
+        bn.ParseError,
+        "line 4: duplicate initial declaration",
+    ),
+    "\n# header\ninitial s0\n\nwibble": (bn.ParseError, "line 5: unknown directive 'wibble'"),
+    "initial s0\nplace p 0": (bn.ParseError, "line 2: unknown directive 'place'"),
+    "Initial s0": (bn.ParseError, "line 1: unknown directive 'Initial'"),
+    "# only a comment\n\n": (bn.NoInitial, "no initial state declared"),
+    "initial s$": (bn.ParseError, "bad state name 's$'"),
+    "initial s0\narc s0 a$ s1": (bn.ParseError, "bad event name 'a$'"),
+    "initial s0\narc s1 a s0": (bn.Unreachable, "state 's1' is not reachable from the initial state"),
+}
+
+
+@pytest.mark.parametrize("text", list(PARSE_ERRORS))
 def test_parse_rejects(text):
-    with pytest.raises((bn.ParseError, bn.NoInitial, bn.NonDeterministic)):
+    exc, message = PARSE_ERRORS[text]
+    with pytest.raises(exc) as info:
         bn.parse_ts(text)
+    assert type(info.value) is exc
+    assert str(info.value) == message
 
 
 def test_serialize_parse_round_trip():
@@ -129,7 +154,7 @@ def test_serialize_parse_round_trip():
         assert back.initial == ts.initial
 
 
-BAD_HEADER_NAMES = ["my ts", "", "a#b", "tab\tname", "two\nlines"]
+BAD_HEADER_NAMES = ["my ts", "", "a#b", "tab\tname", "two\nlines", 7]
 
 
 @pytest.mark.parametrize("name", BAD_HEADER_NAMES)
