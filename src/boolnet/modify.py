@@ -74,8 +74,9 @@ class ModificationPlan:
     canonical arc order (group 0 keeps the base label, group k gets k primes).
     edges/events/states: the removed elements by name.  cost: label count of
     the result for splits, number of removed elements otherwise.  A plan
-    carries only its own kind's payload and a non-negative cost; anything
-    else raises ParseError.
+    carries only its own kind's payload and a non-negative cost, which for a
+    removal is the payload's length; anything else raises ParseError.  A
+    split plan's cost depends on the system, so apply_plan checks it.
     """
 
     kind: str
@@ -93,6 +94,10 @@ class ModificationPlan:
         for field in ("splits", "edges", "events", "states"):
             if getattr(self, field) and field != self.kind + "s":
                 raise ParseError(f"{self.kind} plan carries {field}")
+        if self.kind != "split":
+            n = len(getattr(self, self.kind + "s"))
+            if self.cost != n:
+                raise ParseError(f"{self.kind} plan of cost {self.cost} removes {n}")
 
     def is_noop(self) -> bool:
         return not (self.splits or self.edges or self.events or self.states)
@@ -128,7 +133,8 @@ def apply_plan(ts: TransitionSystem, plan: ModificationPlan) -> TransitionSystem
     Raises UnknownId for references outside the system, ParseError for
     structurally broken payloads, and InvalidPlan(reason) for the semantic
     violations: empty-group, initial-removed, unreachable-state,
-    useless-event.
+    useless-event.  A split plan whose cost is not split_plan_cost raises
+    ParseError, after every other check.
     """
     if plan.kind == "split":
         return _apply_split(ts, plan)
@@ -161,6 +167,9 @@ def _apply_split(ts: TransitionSystem, plan: ModificationPlan) -> TransitionSyst
         groups_used[e] = top + 1
         for pos, g in enumerate(groups):
             grp[occ[pos]] = g
+    cost = split_plan_cost(ts, dict(plan.splits))
+    if plan.cost != cost:
+        raise ParseError(f"split plan of cost {plan.cost} gives {cost} labels")
     labels = _split_labels(ts, groups_used)
     arcs = [(ts.states[s], labels[e, g], ts.states[d]) for (s, e, d), g in zip(ts.arcs, grp)]
     return TransitionSystem.build(ts.initial_state, arcs, name=ts.name)

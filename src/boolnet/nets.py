@@ -111,26 +111,18 @@ def fire(net: BooleanNet, m: Marking | tuple[int, ...], t: str) -> Marking | Non
     return net.fire(m, t)
 
 
-def reachability_graph(net: BooleanNet) -> TransitionSystem:
-    """Explore all markings reachable from m0 and return them as a TS.
-
-    State i is the i-th marking in breadth-first order, named by its
-    parenthesized bit tuple in place order.  Transitions that never fire are
-    dropped from the event alphabet (with a warning) so the result satisfies
-    the no-useless-event invariant.  The system is built from index arcs.
-
-    Markings are explored as integer bitmasks (place k = bit k): a transition
-    is enabled iff every 0-place lies in its defined-at-0 set and every
-    1-place in its defined-at-1 set, and the successor marking is two mask
-    intersections — which keeps the exploration linear in markings times
-    transitions rather than places.
-    """
+def _firing_rule(net: BooleanNet) -> tuple[int, list[tuple[int, int, int, int]], int]:
+    """The net's firing rule over integer markings (place k = bit k): the
+    mask of all places, one row (d0, d1, a0, a1) per transition in net
+    order, and m0.  d0 and d1 are the places where the transition's
+    interaction is defined at 0 and at 1, and a0 and a1 the subsets of those
+    it maps to 1.  So t is enabled at m iff neither ~m & full & ~d0 nor
+    m & ~d1 has a bit, and it then leads to (~m & a0) | (m & a1): two mask
+    intersections, however many places.  A net with more than PLACE_BOUND
+    places raises PlaceBoundExceeded."""
     n = len(net.places)
     if n > PLACE_BOUND:
         raise PlaceBoundExceeded(n, PLACE_BOUND)
-    full = (1 << n) - 1
-    # per transition: defined-at-0 / defined-at-1 place sets and the subsets
-    # of those mapping to 1
     rows = []
     for t in net.transitions:
         d0 = d1 = a0 = a1 = 0
@@ -146,14 +138,30 @@ def reachability_graph(net: BooleanNet) -> TransitionSystem:
                 if img1:
                     a1 |= 1 << k
         rows.append((d0, d1, a0, a1))
-
-    def text(m: int) -> str:
-        return "(" + ",".join(str((m >> k) & 1) for k in range(n)) + ")"
-
     m0 = 0
     for k, b in enumerate(net.m0):
         if b:
             m0 |= 1 << k
+    return (1 << n) - 1, rows, m0
+
+
+def reachability_graph(net: BooleanNet) -> TransitionSystem:
+    """Explore all markings reachable from m0 and return them as a TS.
+
+    State i is the i-th marking in breadth-first order, named by its
+    parenthesized bit tuple in place order.  Transitions that never fire are
+    dropped from the event alphabet (with a warning) so the result satisfies
+    the no-useless-event invariant.  The system is built from index arcs.
+
+    Markings are explored as integer bitmasks under _firing_rule, which keeps
+    the exploration linear in markings times transitions rather than places.
+    """
+    full, rows, m0 = _firing_rule(net)
+    n = len(net.places)
+
+    def text(m: int) -> str:
+        return "(" + ",".join(str((m >> k) & 1) for k in range(n)) + ")"
+
     index = {m0: 0}
     order = [m0]
     arcs: list[tuple[int, int, int]] = []

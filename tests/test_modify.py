@@ -61,6 +61,53 @@ def test_split_plan_cost():
     assert bn.split_plan_cost(ts, {"a": (0, 1)}) == 2
 
 
+@pytest.mark.parametrize(
+    "kind,payload",
+    [
+        ("event", ("c",)),
+        ("edge", (("s0", "c", "s0"),)),
+        ("state", ("s2",)),
+        ("event", ()),
+    ],
+)
+@pytest.mark.parametrize("cost", [0, 2, 5])
+def test_removal_plan_cost_is_the_number_removed(kind, payload, cost):
+    # each plan applies to this system when its cost is its payload's
+    # length, and is refused otherwise
+    ts = bn.TransitionSystem.build(
+        "s0",
+        [("s0", "a", "s1"), ("s1", "b", "s0"), ("s0", "c", "s0"), ("s1", "c", "s1"),
+         ("s1", "a", "s2")],
+    )
+    fields = {kind + "s": payload}
+    if cost == len(payload):
+        cost += 1
+    msg = f"{kind} plan of cost {cost} removes {len(payload)}"
+    with pytest.raises(bn.ParseError, match=msg):
+        bn.ModificationPlan(kind=kind, cost=cost, **fields)
+    good = bn.ModificationPlan(kind=kind, cost=len(payload), **fields)
+    text = bn.serialize_plan(good).replace(f"cost {len(payload)}", f"cost {cost}")
+    with pytest.raises(bn.ParseError, match=msg):
+        bn.parse_plan(text)
+    bn.apply_plan(ts, good)
+
+
+@pytest.mark.parametrize("cost", [0, 1, 3, 5])
+@pytest.mark.parametrize("splits", [(), (("a", (0, 1)),), (("a", (0, 0)),)])
+def test_apply_split_rejects_a_cost_that_is_not_the_label_count(splits, cost):
+    ts = bn.TransitionSystem.build(
+        initial="t0", arcs=[("t0", "a", "t1"), ("t1", "a", "t2")]
+    )
+    want = bn.split_plan_cost(ts, dict(splits))
+    if cost == want:
+        cost += 1
+    plan = bn.ModificationPlan(kind="split", cost=cost, splits=splits)
+    assert bn.parse_plan(bn.serialize_plan(plan)) == plan
+    with pytest.raises(bn.ParseError, match=f"split plan of cost {cost} gives {want} labels"):
+        bn.apply_plan(ts, plan)
+    bn.apply_plan(ts, bn.ModificationPlan(kind="split", cost=want, splits=splits))
+
+
 def test_apply_split_golden():
     ts = bn.TransitionSystem.build(
         initial="t0", arcs=[("t0", "a", "t1"), ("t1", "a", "t2")]

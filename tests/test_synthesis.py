@@ -7,6 +7,7 @@ import pytest
 
 import boolnet as bn
 import oracles
+from boolnet.ts import spanning_tree
 
 TAU = bn.BooleanType.of("nop", "inp", "swap")
 
@@ -208,3 +209,144 @@ def test_synthesis_check_stays_in_index_space(monkeypatch):
     assert outcomes() == want
     per_mode = [sum(isinstance(r, tuple) for r in want[k::3]) for k in range(3)]
     assert min(per_mode) >= 10, per_mode
+
+
+# -- the lockstep check against the full reachability graph -------------------------
+
+
+def reference_verify(ts, net, mode):
+    """verify_implementation as it was before the lockstep check: the net's
+    whole reachability graph, its live alphabet, then check_relation."""
+    if mode not in bn.MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    missing = set(ts.events) - set(net.transitions)
+    if missing:
+        raise bn.EventSetMismatch(f"net lacks transitions for events: {sorted(missing)}")
+    rg = bn.reachability_graph(net)
+    if set(rg.events) != set(ts.events):
+        spanning_tree(ts.initial, ts.arcs, ts.out_arcs, ts.states)  # Unreachable before False
+        return False
+    return bn.check_relation(ts, rg, mode)
+
+
+def outcome(fn, *args):
+    """What a call did: its result or exception (class and message), and
+    every warning it gave, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = ("result", fn(*args))
+        except (bn.BoolnetError, ValueError) as exc:
+            got = ("raised", type(exc), str(exc))
+    return got, [(w.category, str(w.message)) for w in caught]
+
+
+def _mutated_flow(rng, net):
+    p, t = rng.choice(net.places), rng.choice(net.transitions)
+    flow = dict(net.flow)
+    flow[(p, t)] = rng.choice([tag for tag in net.tau if tag != flow[(p, t)]] or ["nop"])
+    return bn.BooleanNet(None, net.tau, net.places, net.transitions, flow, net.m0)
+
+
+def _mutated_m0(rng, net):
+    k = rng.randrange(len(net.places))
+    m0 = tuple(b ^ (i == k) for i, b in enumerate(net.m0))
+    return bn.BooleanNet(None, net.tau, net.places, net.transitions, net.flow, m0)
+
+
+def _with_extra_transition(rng, net):
+    tags = list(net.tau)
+    flow = {**net.flow, **{(p, "zz"): rng.choice(tags) for p in net.places}}
+    return bn.BooleanNet(None, net.tau, net.places, net.transitions + ("zz",), flow, net.m0)
+
+
+def _reversed(net):
+    return bn.BooleanNet(None, net.tau, net.places, net.transitions[::-1], net.flow, net.m0)
+
+
+def _unreached(ts, rng):
+    """ts with a state its initial state never reaches, with or without an
+    arc."""
+    arcs = ts.arcs + (((len(ts.states), 0, 0),) if rng.random() < 0.5 else ())
+    return bn.TransitionSystem(None, ts.states + ("zz",), ts.events, ts.initial, arcs)
+
+
+def verification_corpus(seed):
+    """(system, net) pairs: synthesized nets and nets read off reachability
+    graphs, each also mutated in its flow or m0, given an extra transition
+    zz, with its transitions reordered, against the system with zz as an
+    event without arcs (with and without the extra transition), and against
+    the system with an unreached state."""
+    rng = random.Random(seed)
+    exact = []
+    for _ in range(30):
+        ts = oracles.random_ts(rng, max_states=6, max_events=3)
+        tau = rng.choice([TAU, bn.BooleanType.of("nop", "set", "swap"), oracles.TAU_B])
+        for mode in bn.MODES:
+            res = bn.synthesize(ts, tau, mode)
+            if isinstance(res, bn.SynthesisResult):
+                exact.append((ts, res.net))
+    for _ in range(30):
+        net = oracles.random_net(rng, max_places=4, max_transitions=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rg = bn.reachability_graph(net)
+        if rg.events:
+            exact.append((rg, net))
+    pairs = list(exact)
+    for ts, net in exact:
+        extra = _with_extra_transition(rng, net)
+        arcless = bn.TransitionSystem(None, ts.states, ts.events + ("zz",), ts.initial, ts.arcs)
+        pairs += [(ts, extra), (arcless, extra), (arcless, net), (ts, _reversed(net))]
+        pairs.append((_unreached(ts, rng), net))
+        if net.places:
+            pairs += [(ts, _mutated_flow(rng, net)), (ts, _mutated_m0(rng, net))]
+    chain = bn.TransitionSystem.build("s0", [("s0", "a", "s1")])
+    wide = tuple(f"p{k}" for k in range(bn.PLACE_BOUND + 1))
+    pairs.append((chain, bn.BooleanNet(None, TAU, wide, ("a",), {}, (0,) * len(wide))))
+    return pairs
+
+
+def test_verify_implementation_matches_the_full_reachability_graph():
+    seen = set()
+    for ts, net in verification_corpus(5151):
+        for mode in bn.MODES + ("perform",):
+            want = outcome(reference_verify, ts, net, mode)
+            assert outcome(bn.verify_implementation, ts, net, mode) == want, (ts, net, mode)
+            (kind, *what), caught = want
+            seen.add(what[0] if kind == "result" else what[0].__name__)
+            seen.update("warned" for _ in caught)
+    assert seen == {
+        True, False, "warned", "ValueError", "EventSetMismatch", "PlaceBoundExceeded",
+        "Unreachable",
+    }
+
+
+def path_ts(k):
+    """q0 -f0-> q1 -f1-> ... -f(k-1)-> qk: k distinct events, each once."""
+    return bn.TransitionSystem.build("q0", [(f"q{i}", f"f{i}", f"q{i + 1}") for i in range(k)])
+
+
+def test_verification_of_synthesized_nets_builds_no_reachability_graph(monkeypatch):
+    rng = random.Random(31)
+    corpus = [(oracles.random_ts(rng, max_states=6, max_events=3), mode)
+              for _ in range(20) for mode in bn.MODES]
+    corpus += [(splittable(), mode) for mode in bn.MODES]
+    nets = [(ts, bn.synthesize(ts, TAU, mode), mode) for ts, mode in corpus]
+    nets = [(ts, res.net, mode) for ts, res, mode in nets if isinstance(res, bn.SynthesisResult)]
+    assert {mode for _, _, mode in nets} == set(bn.MODES)
+    # under embed the net need only tell the states apart: one swap place
+    # per event gives 11 states 1,024 markings
+    wide = path_ts(10)
+    wide_net = bn.synthesize(wide, bn.BooleanType.of("nop", "swap"), "embed").net
+    assert len(bn.reachability_graph(wide_net).states) == 1024
+    nets.append((wide, wide_net, "embed"))
+
+    def forbidden(net):
+        raise AssertionError("verification built a reachability graph")
+
+    monkeypatch.setattr(bn.synthesis, "reachability_graph", forbidden)
+    for ts, net, mode in nets:
+        assert bn.verify_implementation(ts, net, mode) is True
+    assert isinstance(bn.synthesize(wide, bn.BooleanType.of("nop", "swap"), "embed"),
+                      bn.SynthesisResult)
