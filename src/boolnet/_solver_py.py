@@ -8,7 +8,24 @@ have none and get no backward handling at all).  Atom goals are pushed into
 propagation: an SSP goal forces complementary supports on its state pair the
 moment one side lands; an ESSP goal forces the atom state's support onto the
 undefined side of the atom event's interaction the moment that signature is
-picked (total interactions fail immediately).
+picked.
+
+Forward checking: each unassigned event has a domain, a bitmask over the
+indices of its branch-order tags (the root's domain is the supports 0 and
+1).  The ESSP goal event starts with its non-total tags only.  When a
+support lands on a state, each of the state's arcs whose event is still
+unassigned drops the tags it now rules out: a tag undefined at the source's
+support, a tag whose image can never be the destination's support, and,
+once both supports are known, a tag that does not map one to the other.
+When the ESSP goal state's support lands before its event is decided, the
+event drops every tag defined at that support.  A dropped tag fails as soon
+as it is tried, so dropping it prunes only subtrees without a region, and
+the region found is still the first in branch order.  Each level keeps one
+prune reason: the union of the decision levels and arcs behind all its
+dropped tags.  An emptied domain is a conflict with that reason, and a level
+that runs out of tags adds it to the conflicts of its failed branches.
+An ESSP goal event without a non-total tag has an empty domain from the
+start, so its atom is refuted before any node is charged.
 
 Every forced support remembers *why*: a bitmask of the decision levels (root
 support choice = bit 0, event e's signature = bit e+1) and a bitmask of the
@@ -27,28 +44,33 @@ modification search uses to reject candidate removals wholesale.
 state's out- and in-arcs, each event's arcs, the initial state) and turns
 them into adjacency once per problem: for each state the arcs to scan when
 its support lands (its out-arcs with the APPLY table, then its in-arcs with
-the BACK table), and for each event its arcs.  Each entry carries its arc's
-bit of the arc reason.  Only a call that asks for the refutation core reads
-arc reasons, so the tables `prepare` builds carry arc bit 0 everywhere and
-the arc reasons stay 0; a second set with the real bits is built on the
-first call that asks for a core.  Decision level reasons are always kept,
-because backjumping depends on them.
+the BACK table, each with its side's prune table), and for each event its
+arcs.  The prune tables are built once per tuple of branch tags.  Each
+entry carries its arc's bit of the arc reason.  Only a call that asks for
+the refutation core reads arc reasons, so the tables `prepare` builds carry
+arc bit 0 everywhere and the arc reasons stay 0; a second set with the real
+bits is built on the first call that asks for a core.  Decision level
+reasons are always kept, because backjumping depends on them.
 
 `solve` is one loop with no inner calls.  Levels are the root support
 choice (level 0) and the events (event e is level e+1); each turn of the
-loop takes the next branch at the current level, scans the decided event's
-arcs, then drains the propagation stack, with the goal's forced supports
-written in place.  The loop runs over an explicit stack, not recursion, so
-its depth is bounded by memory rather than by Python's recursion limit.  The
-stack holds one slot per level: the next branch to try, the conflict levels
-and arcs gathered from the level's failed branches so far, and the trail
-mark to undo the level's assignment to.
+loop takes the next branch left in the current level's domain, scans the
+decided event's arcs, then drains the propagation stack, with the goal's
+forced supports written in place.  A node is charged for each branch taken:
+one per root support choice, and one per tag tried that is still in its
+domain.  The loop runs over an explicit stack, not recursion, so its depth
+is bounded by memory rather than by Python's recursion limit.  The stack
+holds one slot per level: the next branch to try, the conflict levels and
+arcs gathered from the level's failed branches so far, and the trail marks
+to undo the level's assignment and domain changes to.
 
 Conflict masks use -1 for "no conflict"; any value >= 0 is a bitmask of
 the decision levels the dead end depended on (0 = none of them).
 """
 
 from __future__ import annotations
+
+import functools
 
 from .interactions import INTERACTIONS, INVERTIBLE, _APPLY, _UNAPPLY
 
@@ -66,6 +88,29 @@ BACK = tuple(
     for t in INTERACTIONS
 )
 
+@functools.cache
+def _keep(tags):
+    """The prune tables for tags, a branch-order tuple of interaction ids,
+    built once per tuple.  _keep(tags)[d][v][w] is a bitmask over the
+    indices of tags: the tags an arc can still take once its endpoint on
+    side d has support v and its other endpoint has support w (-1 =
+    unassigned, the last slot).  Side 0 is the source: a tag defined at v,
+    mapping v to w when w is known.  Side 1 is the destination: a tag whose
+    image can be v, mapping w to v when w is known.  Side 2 is the ESSP
+    goal state: a tag undefined at v, whatever w."""
+    maps = [[sum(1 << i for i, t in enumerate(tags) if APPLY[t][x] == y) for y in (0, 1)]
+            for x in (0, 1)]
+    full = (1 << len(tags)) - 1
+    return (
+        tuple((maps[v][0], maps[v][1], maps[v][0] | maps[v][1]) for v in (0, 1)),
+        tuple((maps[0][v], maps[1][v], maps[0][v] | maps[1][v]) for v in (0, 1)),
+        tuple((full & ~(maps[v][0] | maps[v][1]),) * 3 for v in (0, 1)),
+    )
+
+
+# the table of the ESSP goal's pseudo-arc: no value is forced either way
+NO_PROPAGATION = ((-2, -2),) * len(INTERACTIONS)
+
 SSP, ESSP = 0, 1
 FOUND, NONE, BUDGET = 0, 1, 2
 
@@ -75,12 +120,16 @@ OK = -1  # "no conflict" sentinel for the reason-mask plumbing
 class Problem:
     """Prepared adjacency for one (transition system, type) pair.
 
-    state_arcs[s]: (level, level bit, other state, arc bit, APPLY or BACK)
-    for each out-arc of s, then each in-arc.  level_arcs[e + 1]: (src, dst,
-    arc bit) for each arc of event e; slot 0, the root level, is empty.
-    `plain` holds both with arc bit 0; `cored`, with arc bit 1 << a, is None
-    until a call asks for a refutation core.  The system is kept, not
-    copied, to build `cored` from.
+    state_arcs[s]: (level, level bit, other state, arc bit, APPLY or BACK,
+    prune table) for each out-arc of s, then each in-arc.  The prune table
+    is the side of _keep(branch_tags) s is on, and gives the tags left in
+    the domain of the arc's event, while it is unassigned, once s has its
+    support.  level_arcs[e + 1]: (src, dst, arc bit) for each arc of event
+    e; slot 0, the root level, is empty.  `plain` holds both with arc bit
+    0; `cored`, with arc bit 1 << a, is None until a call asks for a
+    refutation core.  The system is kept, not copied, to build `cored`
+    from.  A node of the search is one root support choice, or one tag
+    tried that is still in its event's domain.
     """
 
     __slots__ = ("ts", "branch_tags", "plain", "cored")
@@ -88,16 +137,17 @@ class Problem:
     def __init__(self, ts, branch_tags):
         self.ts = ts
         self.branch_tags = tuple(branch_tags)
-        self.plain = _adjacency(ts, False)
+        self.plain = _adjacency(ts, self.branch_tags, False)
         self.cored = None
 
 
-def _adjacency(ts, with_bits):
+def _adjacency(ts, tags, with_bits):
     """(state_arcs, level_arcs) of a Problem, with arc bits or all zero."""
     arcs = ts.arcs
+    keep_src, keep_dst, _ = _keep(tags)
     bits = [1 << a for a in range(len(arcs))] if with_bits else [0] * len(arcs)
-    fwd = [(e + 1, 2 << e, d, bit, APPLY) for (_, e, d), bit in zip(arcs, bits)]
-    back = [(e + 1, 2 << e, s, bit, BACK) for (s, e, _), bit in zip(arcs, bits)]
+    fwd = [(e + 1, 2 << e, d, bit, APPLY, keep_src) for (_, e, d), bit in zip(arcs, bits)]
+    back = [(e + 1, 2 << e, s, bit, BACK, keep_dst) for (s, e, _), bit in zip(arcs, bits)]
     state_arcs = [
         [fwd[a] for a in outs] + [back[a] for a in ins] for outs, ins in zip(ts.out_arcs, ts.in_arcs)
     ]
@@ -116,14 +166,16 @@ def solve(p: Problem, kind: int, goal_a: int, goal_b: int,
     """Search for a region solving one atom.
 
     limit < 0 means unbounded; otherwise the search may charge at most that
-    many nodes (one per root support choice and per signature assignment).
-    Returns (status, sup, sig, nodes, core); core is the refutation core as
-    a bitmask over the arcs when the answer is NONE and collect_touched is
-    set, and 0 otherwise (only a refutation has a core).
+    many nodes (one per root support choice and one per tag tried that is
+    still in its event's domain).  Returns (status, sup, sig, nodes, core);
+    core is the refutation core as a bitmask over the arcs when the answer
+    is NONE and collect_touched is set, and 0 otherwise (only a refutation
+    has a core).
     """
+    tags = p.branch_tags
     if collect_touched:
         if p.cored is None:
-            p.cored = _adjacency(p.ts, True)
+            p.cored = _adjacency(p.ts, tags, True)
         state_arcs, level_arcs = p.cored
     else:
         state_arcs, level_arcs = p.plain
@@ -133,32 +185,53 @@ def solve(p: Problem, kind: int, goal_a: int, goal_b: int,
     sig = [-1] * top              # by level; slot 0 (the root) stays -1
     cause_lv = [0] * n_states     # decision levels behind each support
     cause_arc = [0] * n_states    # arcs behind each support
+    # the domain of each level: the root's supports, each event's tags
+    dom = [3] + [(1 << len(tags)) - 1] * (top - 1)
+    prune_lv = [0] * top          # decision levels behind a level's pruned tags
+    prune_ar = [0] * top          # arcs behind them
     trail = []    # states with freshly assigned support, for undo
+    # (level, old domain, old prune levels, old prune arcs) per domain change
+    dtrail = []
     pending = []  # states whose support just landed, awaiting arc scans
     # the SSP goal pair: a support landing on one forces the complement on
     # the other (pa + pb - s is the partner of s), which is still unassigned:
     # the two land in one step and are undone together
     pa, pb = (goal_a, goal_b) if kind == SSP else (-1, -1)
     essp_level = goal_a + 1 if kind == ESSP else -1
+    if kind == ESSP:
+        # the goal event keeps only the tags undefined at its goal state's
+        # support, so never a total one; a type of total tags solves nothing
+        keep_goal = _keep(tags)[2]
+        dom[essp_level] = keep_goal[0][0] | keep_goal[1][0]
+        if not dom[essp_level]:
+            return (NONE, None, None, 0, 0)
+        # the goal state's scan starts with the atom as a pseudo-arc to
+        # itself: once its support lands it prunes the goal event's domain
+        # like an arc would, and once the event is decided it propagates
+        # nothing
+        state_arcs = list(state_arcs)
+        state_arcs[goal_b] = [(essp_level, 0, goal_b, 0, NO_PROPAGATION, keep_goal)] + state_arcs[goal_b]
     initial = p.ts.initial
-    tags = p.branch_tags
-    n_tags = len(tags)
     # the search stack, one slot per level (see the module docstring)
     branch = [0] * top
     acc_lv = [0] * top
     acc_ar = [0] * top
     marks = [0] * top
+    dmarks = [0] * top
     nodes = 0
     level = 0
     conflict_arcs = 0  # arc mask paired with the conflict mask cm
     while True:
         i = branch[level]
-        if i < (n_tags if level else 2):
+        rest = dom[level] >> i
+        if rest:
+            i += (rest & -rest).bit_length() - 1
             branch[level] = i + 1
             nodes += 1
             if 0 <= limit < nodes:
                 return (BUDGET, None, None, nodes, 0)
             marks[level] = len(trail)
+            dmarks[level] = len(dtrail)
             cm = OK
             if level == 0:
                 # root choice: nothing is assigned, so nothing can conflict
@@ -180,75 +253,83 @@ def solve(p: Problem, kind: int, goal_a: int, goal_b: int,
                 lbit = 1 << level
                 fwd = APPLY[t]
                 back = BACK[t]
-                if level == essp_level:
-                    if fwd[0] >= 0 and fwd[1] >= 0:
-                        cm = lbit
-                        conflict_arcs = 0
+                if level == essp_level and sup[goal_b] < 0:
+                    # the goal state takes the undefined side; one that
+                    # had its support already left only tags undefined there
+                    sup[goal_b] = 0 if fwd[0] < 0 else 1
+                    cause_lv[goal_b] = lbit
+                    cause_arc[goal_b] = 0
+                    trail.append(goal_b)
+                    pending.append(goal_b)
+                # the decided event's arcs, forward from an assigned
+                # source, else backward from an assigned destination
+                for src, dst, bit in level_arcs[level]:
+                    v = sup[src]
+                    if v >= 0:
+                        o = dst
+                        v = fwd[v]
+                        lv = cause_lv[src] | lbit
+                        ar = cause_arc[src] | bit
                     else:
-                        v = 0 if fwd[0] < 0 else 1
-                        old = sup[goal_b]
-                        if old < 0:
-                            sup[goal_b] = v
-                            cause_lv[goal_b] = lbit
-                            cause_arc[goal_b] = 0
-                            trail.append(goal_b)
-                            pending.append(goal_b)
-                        elif old != v:
-                            cm = cause_lv[goal_b] | lbit
-                            conflict_arcs = cause_arc[goal_b]
-                if cm < 0:
-                    # the decided event's arcs, forward from an assigned
-                    # source, else backward from an assigned destination
-                    for src, dst, bit in level_arcs[level]:
-                        v = sup[src]
-                        if v >= 0:
-                            o = dst
-                            v = fwd[v]
-                            lv = cause_lv[src] | lbit
-                            ar = cause_arc[src] | bit
-                        else:
-                            v = sup[dst]
-                            if v < 0:
-                                continue
-                            v = back[v]
-                            if v == -2:
-                                continue
-                            o = src
-                            lv = cause_lv[dst] | lbit
-                            ar = cause_arc[dst] | bit
+                        v = sup[dst]
                         if v < 0:
-                            cm = lv
-                            conflict_arcs = ar
-                            break
-                        old = sup[o]
-                        if old < 0:
-                            sup[o] = v
-                            cause_lv[o] = lv
-                            cause_arc[o] = ar
-                            trail.append(o)
-                            pending.append(o)
-                            if o == pa or o == pb:
-                                q = pa + pb - o
-                                sup[q] = 1 - v
-                                cause_lv[q] = lv
-                                cause_arc[q] = ar
-                                trail.append(q)
-                                pending.append(q)
-                        elif old != v:
-                            cm = cause_lv[o] | lv
-                            conflict_arcs = cause_arc[o] | ar
-                            break
-            # propagation: scan the arcs of each state whose support landed;
-            # its assignment step repeats the event scan's, written out twice
-            # so that no call sits in the per-arc path
+                            continue
+                        v = back[v]
+                        if v == -2:
+                            continue
+                        o = src
+                        lv = cause_lv[dst] | lbit
+                        ar = cause_arc[dst] | bit
+                    if v < 0:
+                        cm = lv
+                        conflict_arcs = ar
+                        break
+                    old = sup[o]
+                    if old < 0:
+                        sup[o] = v
+                        cause_lv[o] = lv
+                        cause_arc[o] = ar
+                        trail.append(o)
+                        pending.append(o)
+                        if o == pa or o == pb:
+                            q = pa + pb - o
+                            sup[q] = 1 - v
+                            cause_lv[q] = lv
+                            cause_arc[q] = ar
+                            trail.append(q)
+                            pending.append(q)
+                    elif old != v:
+                        cm = cause_lv[o] | lv
+                        conflict_arcs = cause_arc[o] | ar
+                        break
+            # propagation: scan the arcs of each state whose support landed,
+            # pruning the domains of unassigned events; its assignment step
+            # repeats the event scan's, written out twice so that no call
+            # sits in the per-arc path
             while pending and cm < 0:
                 s = pending.pop()
                 vs = sup[s]
                 lvs = cause_lv[s]
                 ars = cause_arc[s]
-                for lev, lbit, o, bit, table in state_arcs[s]:
+                for lev, lbit, o, bit, table, keep in state_arcs[s]:
                     t = sig[lev]
                     if t < 0:
+                        d = dom[lev]
+                        w = sup[o]
+                        nd = d & keep[vs][w]
+                        if nd != d:
+                            dtrail.append((lev, d, prune_lv[lev], prune_ar[lev]))
+                            dom[lev] = nd
+                            if w < 0:
+                                prune_lv[lev] |= lvs
+                                prune_ar[lev] |= ars | bit
+                            else:
+                                prune_lv[lev] |= lvs | cause_lv[o]
+                                prune_ar[lev] |= ars | bit | cause_arc[o]
+                            if not nd:
+                                cm = prune_lv[lev]
+                                conflict_arcs = prune_ar[lev]
+                                break
                         continue
                     v = table[t][vs]
                     if v < 0:
@@ -283,12 +364,13 @@ def solve(p: Problem, kind: int, goal_a: int, goal_b: int,
                 branch[level] = acc_lv[level] = acc_ar[level] = 0
                 continue
         else:
-            # every branch at this level failed: the union of their
-            # conflicts, minus the level itself, is the failure of the
-            # branch below (at the root, where nothing is left to undo,
-            # the loop below ends the search)
-            conflict_arcs = acc_ar[level]
-            cm = acc_lv[level] & ~(1 << level)
+            # every branch left in this level's domain failed: the union of
+            # their conflicts and of the domain's prune reason, minus the
+            # level itself, is the failure of the branch below (at the
+            # root, where nothing is left to undo, the loop below ends the
+            # search)
+            conflict_arcs = acc_ar[level] | prune_ar[level]
+            cm = (acc_lv[level] | prune_lv[level]) & ~(1 << level)
             if level:
                 level -= 1
         # the current branch at this level failed with conflict cm
@@ -298,6 +380,9 @@ def solve(p: Problem, kind: int, goal_a: int, goal_b: int,
             mark = marks[level]
             while len(trail) > mark:
                 sup[trail.pop()] = -1
+            mark = dmarks[level]
+            while len(dtrail) > mark:
+                lev, dom[lev], prune_lv[lev], prune_ar[lev] = dtrail.pop()
             if cm & (1 << level):
                 acc_lv[level] |= cm
                 acc_ar[level] |= conflict_arcs

@@ -59,7 +59,7 @@ from .regions import (
     decide_property,
     property_for_mode,
 )
-from .ts import MODES, TransitionSystem, directives, spanning_tree
+from .ts import MODES, TransitionSystem, directives
 
 KINDS = ("split", "edge", "event", "state")
 
@@ -142,7 +142,7 @@ def apply_plan(ts: TransitionSystem, plan: ModificationPlan) -> TransitionSystem
 
 
 def _apply_split(ts: TransitionSystem, plan: ModificationPlan) -> TransitionSystem:
-    spanning_tree(ts.initial, ts.arcs, ts.out_arcs, ts.states)  # build drops an arcless state
+    ts.walk()  # build drops an arcless state
     grp = [0] * len(ts.arcs)
     groups_used: dict[int, int] = {}
     seen_events = set()
@@ -388,7 +388,7 @@ def decide_fast_path(
     # event occurs everywhere (the walk makes all states reachable, so a
     # missing occurrence anywhere poisons the initial state), and then it is
     # every state, so an unsolvable state pair is final
-    spanning_tree(ts.initial, ts.arcs, ts.out_arcs, ts.states)
+    ts.walk()
     if len(ts.arcs) != len(ts.states) * len(ts.events):
         if state:
             return FastPathResult("no", reason="initial state cannot keep all events")

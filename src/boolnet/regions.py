@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import _solver_py as _kernel
 from .errors import DomainMismatch, ParseError, SearchBudgetExceeded
 from .interactions import INTERACTIONS, BooleanType, apply_interaction, check_tag
-from .ts import TransitionSystem, directives, spanning_tree
+from .ts import TransitionSystem, directives
 
 KERNEL = _kernel.KERNEL_NAME
 
@@ -200,7 +200,7 @@ def complete_region(
         if tag not in tau:
             raise DomainMismatch(f"signature value {tag!r} for {e!r} outside type {tau}")
     sup: dict[int, int] = {ts.initial: int(sup_iota)}
-    for dst, a in spanning_tree(ts.initial, ts.arcs, ts.out_arcs, ts.states)[0]:
+    for dst, a in ts.walk()[0]:
         src, ev, _ = ts.arcs[a]
         v = apply_interaction(sig[ts.events[ev]], sup[src])
         if v is None:
@@ -236,13 +236,14 @@ def atoms(ts: TransitionSystem) -> list[SeparationAtom]:
 
 class CompiledProblem:
     """Kernel-ready tables for one (ts, tau) pair; reusable across atoms.
-    Compiling walks the system once, so an unreachable state raises
-    Unreachable here and the kernel never sees one."""
+    Compiling asks for the system's spanning tree, which is walked once per
+    system, so an unreachable state raises Unreachable here and the kernel
+    never sees one."""
 
     __slots__ = ("ts", "tau", "handle")
 
     def __init__(self, ts: TransitionSystem, tau: BooleanType):
-        spanning_tree(ts.initial, ts.arcs, ts.out_arcs, ts.states)
+        ts.walk()
         self.ts = ts
         self.tau = tau
         self.handle = _kernel.prepare(ts, [_TAG_ID[t] for t in tau.branch_order()])

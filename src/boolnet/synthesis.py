@@ -21,7 +21,7 @@ from .regions import (
     decide_property,
     property_for_mode,
 )
-from .ts import MODES, TransitionSystem, check_relation, spanning_tree
+from .ts import MODES, TransitionSystem, check_relation
 
 
 @dataclass
@@ -74,7 +74,7 @@ def verify_implementation(ts: TransitionSystem, net: BooleanNet, mode: str) -> b
             return True
     rg = reachability_graph(net)
     if set(rg.events) != set(ts.events):
-        spanning_tree(ts.initial, ts.arcs, ts.out_arcs, ts.states)  # as check_relation does
+        ts.walk()  # as check_relation does
         return False
     return check_relation(ts, rg, mode)
 
@@ -99,7 +99,7 @@ def _fires_in_lockstep(
     both, and is then surjective as well.
     """
     try:
-        order, chords = spanning_tree(ts.initial, ts.arcs, ts.out_arcs, ts.states)
+        order, chords = ts.walk()
     except Unreachable:
         return False
     image: list[int | None] = [None] * len(ts.states)

@@ -61,6 +61,7 @@ class TransitionSystem:
         "out_arcs",
         "in_arcs",
         "event_arcs",
+        "_tree",
     )
 
     def __init__(
@@ -82,6 +83,7 @@ class TransitionSystem:
         self.out_arcs: list[list[int]] = [[] for _ in states]
         self.in_arcs: list[list[int]] = [[] for _ in states]
         self.event_arcs: list[list[int]] = [[] for _ in events]
+        self._tree: tuple[list, list] | None = None
         for a, (src, ev, dst) in enumerate(arcs):
             key = (src, ev)
             if key in self.arc_at:
@@ -150,12 +152,21 @@ class TransitionSystem:
         return ts
 
     def _validate(self) -> None:
-        spanning_tree(self.initial, self.arcs, self.out_arcs, self.states)
+        self.walk()
         for e, occ in zip(self.events, self.event_arcs):
             if not occ:
                 raise UselessEvent(e)
 
     # -- queries ---------------------------------------------------------------
+
+    def walk(self) -> tuple[list, list]:
+        """The module's spanning_tree of this system, walked on the first
+        call and kept, since the system never changes; callers must not
+        change the lists.  An Unreachable is not kept, so every call on a
+        system with an unreached state walks again and raises."""
+        if self._tree is None:
+            self._tree = spanning_tree(self.initial, self.arcs, self.out_arcs, self.states)
+        return self._tree
 
     @property
     def initial_state(self) -> str:
@@ -368,7 +379,7 @@ def induced_simulation(a: TransitionSystem, b: TransitionSystem) -> SimulationMa
             f"source uses events missing from target: {sorted(set(a.events) - set(b.events))}"
         )
     ev_map = [b.event_index[e] for e in a.events]
-    order, chords = spanning_tree(a.initial, a.arcs, a.out_arcs, a.states)
+    order, chords = a.walk()
     phi: dict[int, int] = {a.initial: b.initial}
     at, b_arcs = b.arc_at, b.arcs
     for dst, arc in order:

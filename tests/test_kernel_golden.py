@@ -11,6 +11,20 @@ machine word, solved both with and without one.  It was recorded before propagat
 loop.  Both were recorded when the kernel returned its core as a bytearray
 with one byte per arc, or None when no core was asked for; `rendered`
 turns today's bitmask back into that form before hashing.
+
+Both were re-recorded when the kernel took up forward checking: each
+unassigned event keeps a domain of the tags its arcs still allow, and only
+those are tried.  A dropped tag fails as soon as it is tried, so forward
+checking skips only subtrees without a region.  Every status, support and
+signature stayed the same, and
+`test_regions.py::test_kernel_region_is_the_lex_first_region` pins them
+apart from the node counts.  What moved are the nodes charged (the 8,399
+atoms of this corpus, solved unbounded, charge 90,739 nodes where they
+charged 216,554), the outcomes under a limit that now lets the search
+finish, and
+some refutation cores, which now also take in the arcs behind the dropped
+tags.  `test_regions.py::test_kernel_cores_are_sound` checks that those
+cores still refute their atoms.
 """
 
 import hashlib
@@ -23,8 +37,8 @@ from boolnet.interactions import INTERACTIONS, BooleanType
 
 import oracles
 
-GOLDEN = "0461cbb5ebe13bd9c8d3f2ddd65bb64d866d212b84f5aea3b450e52736aea107"
-GOLDEN_WIDE = "03fcc261c6c20ec60a75164734830a2f15294c2b206ffde726d243dc088bab61"
+GOLDEN = "a176df08fede116d89aa245346b0ae9dfab51867bc398d3b7b949ef40b560fd2"
+GOLDEN_WIDE = "ce7c85b9f95538886e7dda7d6fdc03b6eccb081e007b7928b5ead932aabe3804"
 
 _TAG_ID = {t: i for i, t in enumerate(INTERACTIONS)}
 
@@ -110,3 +124,24 @@ def test_uncollected_and_wide_digest_is_pinned():
     h.update(corpus_digest(collect_touched=False).encode())
     h.update(wide_digest().encode())
     assert h.hexdigest() == GOLDEN_WIDE
+
+
+def test_node_budget_is_exact():
+    """An atom that charges n nodes unbounded gives the same result at limit
+    n, and BUDGET at limit n - 1: the kernel checks the budget at every
+    node it charges."""
+    rng = random.Random(53)
+    checked = 0
+    for trial in range(60):
+        ts = oracles.random_ts(rng, max_states=7, max_events=4)
+        p = prepared(ts, TAUS[trial % len(TAUS)])
+        for kind, a, b in atom_list(ts):
+            for collect_touched in (False, True):
+                result = _solver_py.solve(p, kind, a, b, -1, collect_touched)
+                n = result[3]
+                assert _solver_py.solve(p, kind, a, b, n, collect_touched) == result
+                if n:
+                    cut = _solver_py.solve(p, kind, a, b, n - 1, collect_touched)
+                    assert cut == (_solver_py.BUDGET, None, None, n, 0)
+                    checked += 1
+    assert checked > 1000

@@ -7,6 +7,8 @@ import pytest
 
 import boolnet as bn
 import oracles
+from boolnet import _solver_py
+from boolnet.interactions import INTERACTIONS
 
 TAU = bn.BooleanType.of("nop", "inp", "swap")
 
@@ -173,6 +175,40 @@ def test_solve_atom_matches_enumeration():
                 got = bn.solve_atom(ts, tau, atom)
                 want = oracles.brute_solve_atom(ts, tau, (atom.kind, atom.first, atom.second), regions)
                 assert (got is not None) == want, (atom, str(tau))
+
+
+def test_kernel_region_is_the_lex_first_region():
+    """The kernel answers an atom with the first region that solves it, in
+    the kernel's own order: initial support 0 before 1, then each event's
+    tag in branch order, event by event.  It answers NONE exactly when no
+    region solves the atom.  Whatever the search prunes, this answer must
+    not move."""
+    from test_kernel_golden import TAUS, atom_list, prepared
+
+    taus = TAUS + [bn.BooleanType(frozenset(INTERACTIONS))]
+    rng = random.Random(8081)
+    for trial in range(600):
+        ts = oracles.random_ts(rng, max_states=6, max_events=3)
+        tau = taus[trial % len(taus)]
+        rank = {t: i for i, t in enumerate(tau.branch_order())}
+        ordered = sorted(
+            oracles.enumerate_regions(ts, tau),
+            key=lambda r: (r[0][ts.initial_state], [rank[r[1][e]] for e in ts.events]),
+        )
+        p = prepared(ts, tau)
+        for kind, a, b in atom_list(ts):
+            if kind == _solver_py.SSP:
+                named = ("ssp", ts.states[a], ts.states[b])
+            else:
+                named = ("essp", ts.events[a], ts.states[b])
+            first = next((r for r in ordered if oracles.region_solves(*r, named)), None)
+            status, sup, sig, _, _ = _solver_py.solve(p, kind, a, b, -1, False)
+            if first is None:
+                assert status == _solver_py.NONE, (ts, str(tau), named)
+                continue
+            assert status == _solver_py.FOUND, (ts, str(tau), named)
+            got = (dict(zip(ts.states, sup)), {e: INTERACTIONS[t] for e, t in zip(ts.events, sig)})
+            assert got == first, (ts, str(tau), named)
 
 
 # types with set or res, whose cores the removal search prunes with

@@ -379,3 +379,27 @@ def test_reflects_events_is_false_for_target_only_events():
     phi = bn.induced_simulation(a, b)
     assert phi.is_injective() and phi.is_surjective()
     assert not phi.reflects_events()
+
+
+def test_a_system_is_walked_once(monkeypatch):
+    """The spanning tree is walked on first use and kept: parsing a system,
+    then synthesizing a net for it and verifying that net, walks it once.
+    A walk that raises Unreachable is not kept, so it raises every time."""
+    walks = []
+    walk = bn.ts.spanning_tree
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(bn.ts, "spanning_tree", counted)
+    ts = bn.parse_ts("initial s0\narc s0 a s1\narc s1 b s0\narc s1 a s1\n")
+    assert len(walks) == 1
+    result = bn.synthesize(ts, bn.BooleanType.of("nop", "inp", "set", "swap"), "realize")
+    assert isinstance(result, bn.SynthesisResult) and result.verified
+    assert len(walks) == 1 and ts.walk() is ts.walk()
+    relaxed = bn.TransitionSystem(None, ("s0", "s1", "s2"), ("a",), 0, ((0, 0, 1),))
+    for _ in range(2):
+        with pytest.raises(bn.Unreachable):
+            relaxed.walk()
+    assert len(walks) == 3
