@@ -45,6 +45,15 @@ eight exhaustive graphs, directed under {nop,inp,swap} and bidirectional under
 100, 1,000 and 10,000.  Most of their label compositions are refuted by an
 intact even walk before any group is assigned, so this digest pins the
 split search's pattern pruning and its node charges.
+
+The removal-gadget digest is its removal counterpart, the kind of input the
+`removal` benchmark workload runs: `decide` for edge, event and state
+removal on the gadgets of the same eight graphs, directed under
+{nop,inp,swap} and bidirectional under {nop,swap,used}, every mode and
+every λ, under node limits 0 (none), 100 and 10,000; 1,944 outcomes.  It
+pins the removal search's plans, its "no" answers and the nodes it charges
+on gadgets, where its hitting-set walk (`modify._hitting_combos`) does most
+of its work.
 """
 
 import hashlib
@@ -80,6 +89,10 @@ LIMITS = (1, 10, 100, 1000)
 SPLIT_GADGET_GOLDEN = "5376ee614ce91514e3b86e3f4a9a58ff17332e5930e7f9a8eb0f403ad4aa1eba"
 
 SPLIT_GADGET_LIMITS = (0, 10, 100, 1000, 10_000)
+
+REMOVAL_GADGET_GOLDEN = "ea9366b0c8bd43c96df2a279f1cf0533adde7d3f01a4f37eadd2a7925cc32f16"
+
+REMOVAL_GADGET_LIMITS = (0, 100, 10_000)
 
 
 def outcome(ts, tau, kind, mode, kappa, node_limit):
@@ -133,3 +146,20 @@ def split_gadget_digest():
 
 def test_split_gadget_digest_is_pinned():
     assert split_gadget_digest() == SPLIT_GADGET_GOLDEN
+
+
+def removal_gadget_digest():
+    h = hashlib.sha256()
+    for g in oracles.exhaustive_graphs():
+        for variant, tau in (("directed", oracles.TAU_D), ("bidirectional", oracles.TAU_B)):
+            for kind in ("edge", "event", "state"):
+                for lam in range(len(g.vertices) + 1):
+                    ts, kappa = bn.build_gadget(g, bn.GadgetSpec(kind, variant, lam))
+                    for mode in bn.MODES:
+                        for limit in REMOVAL_GADGET_LIMITS:
+                            h.update(outcome(ts, tau, kind, mode, kappa, limit).encode())
+    return h.hexdigest()
+
+
+def test_removal_gadget_digest_is_pinned():
+    assert removal_gadget_digest() == REMOVAL_GADGET_GOLDEN
