@@ -11,9 +11,12 @@ they stay exact.  Splitting walks, per total label count, the per-event
 group counts that split an event of each refuting even-walk pattern
 (_hitting_compositions, _abab_patterns), then the split events' set
 partitions as restricted-growth strings.  Removal walks, per cost level, the
-subsets that hit every hard refutation certificate (_hitting_combos).  Node
-charges: one per composition reached or prefix cut, per group tried, and per
-item placed, plus each check's own.
+subsets that hit every hard refutation certificate (_hitting_combos).  It
+holds that family as bitmasks over the certificates' indices, the ones each
+item hits and the ones each prefix misses, so placing an item is one AND; its
+charges are those of the list walk it replaced.  Node charges: one per
+composition reached or prefix cut, per group tried, and per item placed, plus
+each check's own.
 
 The searches work in integer indices from the input system to the solver.
 Candidates are index arcs: a split candidate is the input's arcs with the
@@ -43,8 +46,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_
 
 from .errors import InvalidPlan, ParseError, UnknownId
 from .interactions import BooleanType
@@ -792,41 +793,91 @@ def _search_removal(ts, tau, kind, mode, kappa, budget) -> ModificationPlan | No
 
 
 def _hitting_combos(n_items: int, k: int, masks: list[int], budget):
-    """Every k-subset of range(n_items) meeting each bitmask of masks, which
-    the caller may extend between yields, as a sorted tuple, in lexicographic
-    order.  An item may not pass the least top bit of the masks the items
-    before it miss, and the last must meet them all.  Charges one node per
-    item placed."""
+    """Every k-subset of range(n_items) meeting each mask of masks (bitmasks
+    over range(n_items)), which the caller may extend between yields, as a
+    sorted tuple, in lexicographic order.  An item may not pass the least top
+    bit of the masks the items before it miss, and the last must meet them
+    all.  Charges one node per item placed.
+
+    The family is held by mask index, in int bitmasks: hit[i] is the masks
+    item i meets, low[L] the masks whose top bit is below L, and unmet[d]
+    the masks the items before depth d miss.  So a placement is one AND,
+    unmet[d + 1] = unmet[d] & ~hit[item], and the last item is the first
+    bit from nxt on of one unmet mask whose item meets every unmet mask.
+    tests/test_modify.py keeps a reference walk over lists of unmet masks
+    (list_hitting_combos) that must yield the same subsets and charge the
+    same nodes."""
     if not k:
         if not masks:
             yield ()
         return
-    combo = [0] * k
-    unmet = [list(masks)] + [None] * (k - 1)  # the masks the items before each depth miss
+    if k == 1:  # one depth: the items every mask meets, kept as one AND
+        common, seen, c = (1 << n_items) - 1, 0, -1
+        while True:
+            for t in range(seen, len(masks)):
+                common &= masks[t]
+            seen = len(masks)
+            fits = common >> (c + 1) << (c + 1)
+            if not fits:
+                return
+            c = (fits & -fits).bit_length() - 1
+            budget.charge()
+            yield (c,)
+    hit = [0] * n_items
+    low = [0] * (n_items + 1)
     seen = len(masks)
+    for t in range(seen):
+        m = masks[t]
+        bit = 1 << t
+        low[m.bit_length()] |= bit
+        while m:
+            b = m & -m
+            hit[b.bit_length() - 1] |= bit
+            m ^= b
+    for length in range(n_items):
+        low[length + 1] |= low[length]
+    combo = [0] * k
+    unmet = [(1 << seen) - 1] + [0] * (k - 1)
     d = nxt = 0
     while True:
-        pending = unmet[d]
+        u = unmet[d]
         if d == k - 1:
-            fits = reduce(and_, pending, (1 << n_items) - 1) >> nxt << nxt
-            if fits:
-                nxt = (fits & -fits).bit_length()
+            c = nxt
+            if u:
+                m = masks[(u & -u).bit_length() - 1] >> nxt
+                c = n_items
+                while m:
+                    b = m & -m
+                    if hit[nxt + b.bit_length() - 1] & u == u:
+                        c = nxt + b.bit_length() - 1
+                        break
+                    m ^= b
+            if c < n_items:
                 budget.charge()
-                combo[d] = nxt - 1
+                combo[d] = c
+                nxt = c + 1
                 yield tuple(combo)
-                for m in masks[seen:]:  # arrived during the yield
+                for t in range(seen, len(masks)):  # arrived during the yield
+                    m = masks[t]
+                    bit = 1 << t
+                    for length in range(m.bit_length(), n_items + 1):
+                        low[length] |= bit
+                    while m:
+                        b = m & -m
+                        hit[b.bit_length() - 1] |= bit
+                        m ^= b
                     for j in range(k):
-                        unmet[j].append(m)
-                        if (m >> combo[j]) & 1:
+                        unmet[j] |= bit
+                        if hit[combo[j]] & bit:
                             break
                 seen = len(masks)
                 continue
-        elif nxt <= n_items - k + d and nxt < min(pending, default=1 << n_items).bit_length():
+        elif nxt <= n_items - k + d and not u & low[nxt]:
             budget.charge()
             combo[d] = nxt
             d += 1
+            unmet[d] = u & ~hit[nxt]
             nxt += 1
-            unmet[d] = [m for m in pending if not (m >> combo[d - 1]) & 1]
             continue
         if not d:
             return

@@ -3,7 +3,9 @@
 import itertools
 import random
 import sys
+from functools import reduce
 from math import comb
+from operator import and_
 
 import pytest
 
@@ -580,6 +582,112 @@ def test_hitting_combos_match_a_filter_of_combinations():
     # the empty subset meets no mask
     assert list(_hitting_combos(3, 0, [], bn.NodeBudget())) == [()]
     assert list(_hitting_combos(3, 0, [1], bn.NodeBudget())) == []
+
+
+def list_hitting_combos(n_items, k, masks, budget):
+    """The removal walk as it was when it kept each depth's unmet masks as a
+    list: the reference the bitset walk must match yield for yield and node
+    for node."""
+    if not k:
+        if not masks:
+            yield ()
+        return
+    combo = [0] * k
+    unmet = [list(masks)] + [None] * (k - 1)  # the masks the items before each depth miss
+    seen = len(masks)
+    d = nxt = 0
+    while True:
+        pending = unmet[d]
+        if d == k - 1:
+            fits = reduce(and_, pending, (1 << n_items) - 1) >> nxt << nxt
+            if fits:
+                nxt = (fits & -fits).bit_length()
+                budget.charge()
+                combo[d] = nxt - 1
+                yield tuple(combo)
+                for m in masks[seen:]:  # arrived during the yield
+                    for j in range(k):
+                        unmet[j].append(m)
+                        if (m >> combo[j]) & 1:
+                            break
+                seen = len(masks)
+                continue
+        elif nxt <= n_items - k + d and nxt < min(pending, default=1 << n_items).bit_length():
+            budget.charge()
+            combo[d] = nxt
+            d += 1
+            nxt += 1
+            unmet[d] = [m for m in pending if not (m >> combo[d - 1]) & 1]
+            continue
+        if not d:
+            return
+        d -= 1
+        nxt = combo[d] + 1
+
+
+def family_mask(rng, n, k, masks, planted):
+    """A mask over range(n) like a removal certificate's: a few items or
+    many, now and then a zero mask, a duplicate, or only items past n - k;
+    one item of planted, when there is one, so that it stays a hitting set."""
+    r = rng.random()
+    if r < 0.01 or not n:
+        return 0
+    if r < 0.15 and masks:
+        return rng.choice(masks)
+    lo = min(n - k, n - 1) if r < 0.3 else 0
+    width = min(n - lo, rng.choice((2, 6, n)))
+    mask = sum(1 << i for i in rng.sample(range(lo, n), rng.randint(1, width)))
+    return mask | (1 << rng.choice(planted) if planted else 0)
+
+
+def test_hitting_combos_match_the_list_walk():
+    """On families of up to 60 masks over up to 40 items, some arriving
+    between yields, the bitset walk yields what the list walk yields, in the
+    same order, and charges the same nodes: the same budget.used when both
+    finish, and the same SearchBudgetExceeded.nodes after the same yields
+    under a node limit."""
+
+    def walk(walker, n, k, masks, planted, limit, seed):
+        rng = random.Random(seed)
+        masks = list(masks)
+        budget = bn.NodeBudget(limit)
+        got = []
+        try:
+            for combo in walker(n, k, masks, budget):
+                got.append(combo)
+                while rng.random() < 0.1:
+                    mask = family_mask(rng, n, k, masks, planted)
+                    if rng.random() < 0.5:  # as a certificate of combo: none of its items meets it
+                        mask &= ~sum(1 << i for i in combo)
+                    masks.append(mask)
+        except bn.SearchBudgetExceeded as exc:
+            return got, len(masks), ("exceeded", exc.nodes)
+        return got, len(masks), ("done", budget.used)
+
+    rng = random.Random(1913)
+    ends = {"exceeded": 0, "done": 0}
+    yields = arrivals = big = 0  # big: yields from families of 20 masks or more
+    for trial in range(1000):
+        n = rng.randint(0, 40)
+        k = rng.randint(0, min(n, 6))
+        planted = rng.sample(range(n), k) if rng.random() < 0.5 else []
+        masks = []
+        for _ in range(rng.choice((0, 2, 6, 20, 60))):
+            masks.append(family_mask(rng, n, k, masks, planted))
+        limit = rng.choice((None if n <= 14 else 3000, 1, 7, 60, 400, 3000))
+        want = walk(list_hitting_combos, n, k, masks, planted, limit, trial)
+        got = walk(_hitting_combos, n, k, masks, planted, limit, trial)
+        assert got == want, (n, k, masks, limit)
+        ends[got[2][0]] += 1
+        yields += len(got[0])
+        arrivals += got[1] - len(masks)
+        big += len(got[0]) if len(masks) >= 20 else 0
+    assert min(ends.values()) > 200 and yields > 10_000 and arrivals > 1000 and big > 500, (
+        ends,
+        yields,
+        arrivals,
+        big,
+    )
 
 
 def test_decide_stays_in_index_space(monkeypatch):

@@ -53,7 +53,10 @@ removal on the gadgets of the same eight graphs, directed under
 every λ, under node limits 0 (none), 100 and 10,000; 1,944 outcomes.  It
 pins the removal search's plans, its "no" answers and the nodes it charges
 on gadgets, where its hitting-set walk (`modify._hitting_combos`) does most
-of its work.
+of its work.  It was recorded before that walk moved from a list of unmet
+masks per depth to one bitmask over the masks per depth, and held unchanged
+through the move: the walk yields the same subsets in the same order and
+charges the same nodes.
 """
 
 import hashlib
