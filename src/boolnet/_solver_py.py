@@ -27,18 +27,21 @@ that runs out of tags adds it to the conflicts of its failed branches.
 An ESSP goal event without a non-total tag has an empty domain from the
 start, so its atom is refuted before any node is charged.
 
-Every forced support remembers *why*: a bitmask of the decision levels (root
-support choice = bit 0, event e's signature = bit e+1) and a bitmask of the
-arcs whose constraints forced it.  A dead end reports the union of the
+Every forced support remembers *why* in one int, its reason: the decision
+levels and the arcs whose constraints forced it.  The low `top` bits (top =
+number of events + 1) are the levels: bit 0 is the root support choice, bit
+e+1 is event e's signature.  Arc a is bit top + a.  Prune reasons and
+conflicts have the same layout.  A dead end reports the union of the
 reasons involved, and the search backjumps: when one branch of a decision
-fails for reasons that do not mention the decision itself, its siblings must
-fail identically and are skipped.  An empty conflict set means the failure
-depends on no decision at all, so the whole search is over.  This prunes the
-combinatorial padding of events that never interact with the conflict.  On
-an exhaustive failure the kernel hands back the union of conflict arcs as a
-refutation core, a bitmask over the arcs (bit a for arc a): any system that
-keeps all those arcs (and the atom) refutes the same atom, which is what the
-modification search uses to reject candidate removals wholesale.
+fails for reasons that do not mention the decision itself, its siblings
+must fail identically and are skipped.  A conflict without level bits
+depends on no decision at all, so the whole search is over.  This prunes
+the combinatorial padding of events that never interact with the conflict.
+On an exhaustive failure the kernel hands back the arc bits of the root's
+conflicts, shifted down by top, as a refutation core, a bitmask over the
+arcs (bit a for arc a): any system that keeps all those arcs (and the atom)
+refutes the same atom, which is what the modification search uses to
+reject candidate removals wholesale.
 
 `prepare` reads the transition system's own index views (its arcs, each
 state's out- and in-arcs, each event's arcs, the initial state) and turns
@@ -46,11 +49,16 @@ them into adjacency once per problem: for each state the arcs to scan when
 its support lands (its out-arcs with the APPLY table, then its in-arcs with
 the BACK table, each with its side's prune table), and for each event its
 arcs.  The prune tables are built once per tuple of branch tags.  Each
-entry carries its arc's bit of the arc reason.  Only a call that asks for
-the refutation core reads arc reasons, so the tables `prepare` builds carry
-arc bit 0 everywhere and the arc reasons stay 0; a second set with the real
-bits is built on the first call that asks for a core.  Decision level
-reasons are always kept, because backjumping depends on them.
+entry carries its arc's reason: its event's level bit and its arc bit.
+Only a call that asks for the refutation core reads arc bits, so the tables
+`prepare` builds carry arc bit 0 everywhere and no reason gets one; a
+second set with the real bits is built on the first call that asks for a
+core.  Level bits are always kept, because backjumping depends on them.
+An arc that prunes its event's domain puts the arc's reason, and so the
+event's own level bit, into that level's prune reason.  That bit is
+harmless: the event is unassigned, so its level is above every level that
+unwinding from the current one tests, and when its own level runs out of
+tags the bit is cleared with the rest of the level.
 
 `solve` is one loop with no inner calls.  Levels are the root support
 choice (level 0) and the events (event e is level e+1); each turn of the
@@ -60,12 +68,13 @@ forced supports written in place.  A node is charged for each branch taken:
 one per root support choice, and one per tag tried that is still in its
 domain.  The loop runs over an explicit stack, not recursion, so its depth
 is bounded by memory rather than by Python's recursion limit.  The stack
-holds one slot per level: the next branch to try, the conflict levels and
-arcs gathered from the level's failed branches so far, and the trail marks
-to undo the level's assignment and domain changes to.
+holds one slot per level: the next branch to try, the union of the
+conflicts of the level's failed branches so far, and the trail marks to
+undo the level's assignment and domain changes to.
 
-Conflict masks use -1 for "no conflict"; any value >= 0 is a bitmask of
-the decision levels the dead end depended on (0 = none of them).
+The conflict cm is -1 for "no conflict"; any value >= 0 is the reason of
+the dead end, whose level bits are the decisions it depended on (none of
+them if they are all 0).
 """
 
 from __future__ import annotations
@@ -120,16 +129,18 @@ OK = -1  # "no conflict" sentinel for the reason-mask plumbing
 class Problem:
     """Prepared adjacency for one (transition system, type) pair.
 
-    state_arcs[s]: (level, level bit, other state, arc bit, APPLY or BACK,
-    prune table) for each out-arc of s, then each in-arc.  The prune table
-    is the side of _keep(branch_tags) s is on, and gives the tags left in
-    the domain of the arc's event, while it is unassigned, once s has its
-    support.  level_arcs[e + 1]: (src, dst, arc bit) for each arc of event
+    state_arcs[s]: (level, reason, other state, APPLY or BACK, prune table)
+    for each out-arc of s, then each in-arc.  The reason is the arc's level
+    bit (2 << e for event e) or'd with its arc bit.  The prune table is the
+    side of _keep(branch_tags) s is on, and gives the tags left in the
+    domain of the arc's event, while it is unassigned, once s has its
+    support.  level_arcs[e + 1]: (src, dst, reason) for each arc of event
     e; slot 0, the root level, is empty.  `plain` holds both with arc bit
-    0; `cored`, with arc bit 1 << a, is None until a call asks for a
-    refutation core.  The system is kept, not copied, to build `cored`
-    from.  A node of the search is one root support choice, or one tag
-    tried that is still in its event's domain.
+    0; `cored`, with arc bit 1 << (top + a) for arc a (top = number of
+    events + 1), is None until a call asks for a refutation core.  The
+    system is kept, not copied, to build `cored` from.  A node of the
+    search is one root support choice, or one tag tried that is still in
+    its event's domain.
     """
 
     __slots__ = ("ts", "branch_tags", "plain", "cored")
@@ -142,16 +153,18 @@ class Problem:
 
 
 def _adjacency(ts, tags, with_bits):
-    """(state_arcs, level_arcs) of a Problem, with arc bits or all zero."""
+    """(state_arcs, level_arcs) of a Problem, with arc bits or without."""
     arcs = ts.arcs
     keep_src, keep_dst, _ = _keep(tags)
-    bits = [1 << a for a in range(len(arcs))] if with_bits else [0] * len(arcs)
-    fwd = [(e + 1, 2 << e, d, bit, APPLY, keep_src) for (_, e, d), bit in zip(arcs, bits)]
-    back = [(e + 1, 2 << e, s, bit, BACK, keep_dst) for (s, e, _), bit in zip(arcs, bits)]
+    top = len(ts.events) + 1
+    # arc a's reason: its event's level bit, and its own bit above the levels
+    reasons = [(2 << e) | (with_bits << (top + a)) for a, (_, e, _) in enumerate(arcs)]
+    fwd = [(e + 1, r, d, APPLY, keep_src) for (_, e, d), r in zip(arcs, reasons)]
+    back = [(e + 1, r, s, BACK, keep_dst) for (s, e, _), r in zip(arcs, reasons)]
     state_arcs = [
         [fwd[a] for a in outs] + [back[a] for a in ins] for outs, ins in zip(ts.out_arcs, ts.in_arcs)
     ]
-    level_arcs = [()] + [[(arcs[a][0], arcs[a][2], bits[a]) for a in occ] for occ in ts.event_arcs]
+    level_arcs = [()] + [[(arcs[a][0], arcs[a][2], reasons[a]) for a in occ] for occ in ts.event_arcs]
     return state_arcs, level_arcs
 
 
@@ -183,15 +196,12 @@ def solve(p: Problem, kind: int, goal_a: int, goal_b: int,
     top = len(p.ts.events) + 1
     sup = [-1] * n_states
     sig = [-1] * top              # by level; slot 0 (the root) stays -1
-    cause_lv = [0] * n_states     # decision levels behind each support
-    cause_arc = [0] * n_states    # arcs behind each support
+    cause = [0] * n_states        # the reason behind each support
     # the domain of each level: the root's supports, each event's tags
     dom = [3] + [(1 << len(tags)) - 1] * (top - 1)
-    prune_lv = [0] * top          # decision levels behind a level's pruned tags
-    prune_ar = [0] * top          # arcs behind them
+    prune = [0] * top             # the reason behind a level's pruned tags
     trail = []    # states with freshly assigned support, for undo
-    # (level, old domain, old prune levels, old prune arcs) per domain change
-    dtrail = []
+    dtrail = []   # (level, old domain, old prune) per domain change
     pending = []  # states whose support just landed, awaiting arc scans
     # the SSP goal pair: a support landing on one forces the complement on
     # the other (pa + pb - s is the partner of s), which is still unassigned:
@@ -210,17 +220,15 @@ def solve(p: Problem, kind: int, goal_a: int, goal_b: int,
         # like an arc would, and once the event is decided it propagates
         # nothing
         state_arcs = list(state_arcs)
-        state_arcs[goal_b] = [(essp_level, 0, goal_b, 0, NO_PROPAGATION, keep_goal)] + state_arcs[goal_b]
+        state_arcs[goal_b] = [(essp_level, 0, goal_b, NO_PROPAGATION, keep_goal)] + state_arcs[goal_b]
     initial = p.ts.initial
     # the search stack, one slot per level (see the module docstring)
     branch = [0] * top
-    acc_lv = [0] * top
-    acc_ar = [0] * top
+    acc = [0] * top
     marks = [0] * top
     dmarks = [0] * top
     nodes = 0
     level = 0
-    conflict_arcs = 0  # arc mask paired with the conflict mask cm
     while True:
         i = branch[level]
         rest = dom[level] >> i
@@ -236,40 +244,35 @@ def solve(p: Problem, kind: int, goal_a: int, goal_b: int,
             if level == 0:
                 # root choice: nothing is assigned, so nothing can conflict
                 sup[initial] = i
-                cause_lv[initial] = 1
-                cause_arc[initial] = 0
+                cause[initial] = 1
                 trail.append(initial)
                 pending.append(initial)
                 if initial == pa or initial == pb:
                     q = pa + pb - initial
                     sup[q] = 1 - i
-                    cause_lv[q] = 1
-                    cause_arc[q] = 0
+                    cause[q] = 1
                     trail.append(q)
                     pending.append(q)
             else:
                 t = tags[i]
                 sig[level] = t
-                lbit = 1 << level
                 fwd = APPLY[t]
                 back = BACK[t]
                 if level == essp_level and sup[goal_b] < 0:
                     # the goal state takes the undefined side; one that
                     # had its support already left only tags undefined there
                     sup[goal_b] = 0 if fwd[0] < 0 else 1
-                    cause_lv[goal_b] = lbit
-                    cause_arc[goal_b] = 0
+                    cause[goal_b] = 1 << level
                     trail.append(goal_b)
                     pending.append(goal_b)
                 # the decided event's arcs, forward from an assigned
                 # source, else backward from an assigned destination
-                for src, dst, bit in level_arcs[level]:
+                for src, dst, reason in level_arcs[level]:
                     v = sup[src]
                     if v >= 0:
                         o = dst
                         v = fwd[v]
-                        lv = cause_lv[src] | lbit
-                        ar = cause_arc[src] | bit
+                        r = cause[src] | reason
                     else:
                         v = sup[dst]
                         if v < 0:
@@ -278,29 +281,24 @@ def solve(p: Problem, kind: int, goal_a: int, goal_b: int,
                         if v == -2:
                             continue
                         o = src
-                        lv = cause_lv[dst] | lbit
-                        ar = cause_arc[dst] | bit
+                        r = cause[dst] | reason
                     if v < 0:
-                        cm = lv
-                        conflict_arcs = ar
+                        cm = r
                         break
                     old = sup[o]
                     if old < 0:
                         sup[o] = v
-                        cause_lv[o] = lv
-                        cause_arc[o] = ar
+                        cause[o] = r
                         trail.append(o)
                         pending.append(o)
                         if o == pa or o == pb:
                             q = pa + pb - o
                             sup[q] = 1 - v
-                            cause_lv[q] = lv
-                            cause_arc[q] = ar
+                            cause[q] = r
                             trail.append(q)
                             pending.append(q)
                     elif old != v:
-                        cm = cause_lv[o] | lv
-                        conflict_arcs = cause_arc[o] | ar
+                        cm = cause[o] | r
                         break
             # propagation: scan the arcs of each state whose support landed,
             # pruning the domains of unassigned events; its assignment step
@@ -309,59 +307,51 @@ def solve(p: Problem, kind: int, goal_a: int, goal_b: int,
             while pending and cm < 0:
                 s = pending.pop()
                 vs = sup[s]
-                lvs = cause_lv[s]
-                ars = cause_arc[s]
-                for lev, lbit, o, bit, table, keep in state_arcs[s]:
+                cs = cause[s]
+                for lev, reason, o, table, keep in state_arcs[s]:
                     t = sig[lev]
                     if t < 0:
                         d = dom[lev]
                         w = sup[o]
                         nd = d & keep[vs][w]
                         if nd != d:
-                            dtrail.append((lev, d, prune_lv[lev], prune_ar[lev]))
+                            dtrail.append((lev, d, prune[lev]))
                             dom[lev] = nd
                             if w < 0:
-                                prune_lv[lev] |= lvs
-                                prune_ar[lev] |= ars | bit
+                                prune[lev] |= cs | reason
                             else:
-                                prune_lv[lev] |= lvs | cause_lv[o]
-                                prune_ar[lev] |= ars | bit | cause_arc[o]
+                                prune[lev] |= cs | reason | cause[o]
                             if not nd:
-                                cm = prune_lv[lev]
-                                conflict_arcs = prune_ar[lev]
+                                cm = prune[lev]
                                 break
                         continue
                     v = table[t][vs]
                     if v < 0:
                         if v == -2:
                             continue
-                        cm = lvs | lbit
-                        conflict_arcs = ars | bit
+                        cm = cs | reason
                         break
                     old = sup[o]
                     if old < 0:
                         sup[o] = v
-                        cause_lv[o] = lv = lvs | lbit
-                        cause_arc[o] = ar = ars | bit
+                        cause[o] = r = cs | reason
                         trail.append(o)
                         pending.append(o)
                         if o == pa or o == pb:
                             q = pa + pb - o
                             sup[q] = 1 - v
-                            cause_lv[q] = lv
-                            cause_arc[q] = ar
+                            cause[q] = r
                             trail.append(q)
                             pending.append(q)
                     elif old != v:
-                        cm = cause_lv[o] | lvs | lbit
-                        conflict_arcs = cause_arc[o] | ars | bit
+                        cm = cause[o] | cs | reason
                         break
             if cm < 0:
                 level += 1
                 if level == top:
                     assert all(v >= 0 for v in sup)
                     return (FOUND, sup, sig[1:], nodes, 0)
-                branch[level] = acc_lv[level] = acc_ar[level] = 0
+                branch[level] = acc[level] = 0
                 continue
         else:
             # every branch left in this level's domain failed: the union of
@@ -369,8 +359,7 @@ def solve(p: Problem, kind: int, goal_a: int, goal_b: int,
             # level itself, is the failure of the branch below (at the
             # root, where nothing is left to undo, the loop below ends the
             # search)
-            conflict_arcs = acc_ar[level] | prune_ar[level]
-            cm = (acc_lv[level] | prune_lv[level]) & ~(1 << level)
+            cm = (acc[level] | prune[level]) & ~(1 << level)
             if level:
                 level -= 1
         # the current branch at this level failed with conflict cm
@@ -382,15 +371,14 @@ def solve(p: Problem, kind: int, goal_a: int, goal_b: int,
                 sup[trail.pop()] = -1
             mark = dmarks[level]
             while len(dtrail) > mark:
-                lev, dom[lev], prune_lv[lev], prune_ar[lev] = dtrail.pop()
+                lev, dom[lev], prune[lev] = dtrail.pop()
             if cm & (1 << level):
-                acc_lv[level] |= cm
-                acc_ar[level] |= conflict_arcs
+                acc[level] |= cm
                 break
             if level == 0:
-                # refuted: the root's conflicts are the refutation core (all
-                # arc bits are 0 unless a core was asked for)
-                return (NONE, None, None, nodes, acc_ar[0] | conflict_arcs)
+                # refuted: the root's conflicts, above the level bits, are
+                # the refutation core (0 unless a core was asked for)
+                return (NONE, None, None, nodes, (acc[0] | cm) >> top)
             # the failure never looked at this decision: siblings are
             # doomed for the same reason, hand the conflict downward
             level -= 1

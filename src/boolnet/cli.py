@@ -324,10 +324,7 @@ def run(argv=None) -> int:
         except SearchBudgetExceeded as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BUDGET
-        except BoolnetError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except OSError as exc:
+        except (BoolnetError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
 

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes and artifact formats."""
 
+import io
 import random
 
 import hypothesis.strategies as st
@@ -297,3 +298,32 @@ def test_cli_never_ends_in_a_traceback(tmp_path, monkeypatch, capsys, seed):
     for argv in _ARGVS:
         assert run(argv + [str(path)]) in (0, 1, 2, 3)
     capsys.readouterr()
+
+
+def test_input_dash_reads_stdin(files, monkeypatch, capsys):
+    argv = ["check", "--prop", "both", "--type", "nop,inp,swap"]
+    assert run(argv + [str(files["splittable"])]) == 0
+    from_file = capsys.readouterr().out
+    text = files["splittable"].read_text(encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(argv + ["-"]) == 0
+    assert capsys.readouterr().out == from_file
+
+
+def test_simulate_and_gadget_dot(files, capsys, tmp_path):
+    netfile = tmp_path / "n.net"
+    assert run(["synth", "--mode", "realize", "--type", "nop,inp,swap", str(files["splittable"]), "--out", str(netfile)]) == 0
+    assert run(["simulate", "--format", "dot", str(netfile)]) == 0
+    assert capsys.readouterr().out.startswith("digraph")
+    assert run(["gadget", "--problem", "edge", "--lambda", "1", "--format", "dot", str(files["graph"])]) == 0
+    assert capsys.readouterr().out.startswith("digraph")
+
+
+def test_modify_ts_format_is_the_applied_plan(files, capsys):
+    argv = ["modify", "--kind", "split", "--mode", "realize", "--kappa", "2", "--type", "nop,inp,swap"]
+    assert run(argv + [str(files["stuck"])]) == 0
+    plan = bn.parse_plan(capsys.readouterr().out)
+    assert run(argv + ["--format", "ts", str(files["stuck"])]) == 0
+    got = bn.parse_ts(capsys.readouterr().out)
+    want = bn.apply_plan(bn.parse_ts(files["stuck"].read_text(encoding="utf-8")), plan)
+    assert got == want and got.name == want.name

@@ -853,3 +853,13 @@ def test_apply_removal_matches_name_level_reference():
                 )
                 seen.add("valid")
     assert seen == {"valid", "initial-removed", "useless-event", "unreachable-state"}
+
+
+@pytest.mark.parametrize(
+    "kind, mode, message",
+    [("bogus", "realize", "unknown kind 'bogus'"), ("split", "bogus", "unknown mode 'bogus'")],
+)
+def test_fast_path_rejects_an_unknown_kind_or_mode(kind, mode, message):
+    with pytest.raises(ValueError) as info:
+        bn.decide_fast_path(two_loops(), TAU_D, kind, mode)
+    assert str(info.value) == message

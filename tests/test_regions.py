@@ -449,3 +449,25 @@ def test_parse_regions_rejects(text):
 
 def test_kernel_name_is_reported():
     assert bn.KERNEL == "py"
+
+
+@pytest.mark.parametrize(
+    "atom, message",
+    [
+        (bn.SeparationAtom("ssp", "t0", "zz"), "atom state 'zz' not in the system"),
+        (bn.SeparationAtom("ssp", "zz", "t0"), "atom state 'zz' not in the system"),
+        (bn.SeparationAtom("essp", "zz", "t0"), "atom event 'zz' not in the system"),
+        (bn.SeparationAtom("essp", "a", "zz"), "atom state 'zz' not in the system"),
+        (bn.SeparationAtom("essp", "a", "t0"), "'a' occurs at 't0': not an atom"),
+    ],
+)
+def test_solve_atom_rejects_an_atom_outside_the_system(atom, message):
+    with pytest.raises(bn.DomainMismatch) as info:
+        bn.solve_atom(walkthrough(), TAU, atom)
+    assert str(info.value) == message
+
+
+def test_complete_region_rejects_a_tag_outside_the_type():
+    with pytest.raises(bn.DomainMismatch) as info:
+        bn.complete_region(walkthrough(), TAU, 0, {"a": "set"})
+    assert str(info.value) == f"signature value 'set' for 'a' outside type {TAU}"

@@ -403,3 +403,28 @@ def test_a_system_is_walked_once(monkeypatch):
         with pytest.raises(bn.Unreachable):
             relaxed.walk()
     assert len(walks) == 3
+
+
+@pytest.mark.parametrize(
+    "kwargs, error, message",
+    [
+        (dict(initial=None, arcs=[("a", "x", "a")]), bn.NoInitial, "no initial state declared"),
+        (dict(initial="a", arcs=[("a", "x", "a")], states=["a", "a"]), bn.ParseError, "duplicate state 'a'"),
+        (dict(initial="a", arcs=[("a", "x", "a")], events=["x", "x"]), bn.ParseError, "duplicate event 'x'"),
+        (
+            dict(initial="a", arcs=[("q", "x", "a")], states=["a"]),
+            bn.UnknownId,
+            "unknown identifier 'q' (arc source)",
+        ),
+        (
+            dict(initial="a", arcs=[("a", "x", "a"), ("a", "y", "a")], events=["x"]),
+            bn.UnknownId,
+            "unknown identifier 'y' (arc event)",
+        ),
+    ],
+)
+def test_build_rejects_what_the_explicit_lists_do_not_allow(kwargs, error, message):
+    with pytest.raises(error) as info:
+        bn.TransitionSystem.build(**kwargs)
+    assert type(info.value) is error
+    assert str(info.value) == message
