@@ -63,8 +63,11 @@ tags the bit is cleared with the rest of the level.
 `solve` is one loop with no inner calls.  Levels are the root support
 choice (level 0) and the events (event e is level e+1); each turn of the
 loop takes the next branch left in the current level's domain, scans the
-decided event's arcs, then drains the propagation stack, with the goal's
-forced supports written in place.  A node is charged for each branch taken:
+decided level's arcs, then drains the propagation stack, with the goal's
+forced supports written in place.  The root is scanned like an event: its
+one arc runs from a phantom state of support 0, one slot past the states,
+to the initial state, and its tags nop and swap give the initial state
+support 0 and 1.  A node is charged for each branch taken:
 one per root support choice, and one per tag tried that is still in its
 domain.  The loop runs over an explicit stack, not recursion, so its depth
 is bounded by memory rather than by Python's recursion limit.  The stack
@@ -120,6 +123,10 @@ def _keep(tags):
 # the table of the ESSP goal's pseudo-arc: no value is forced either way
 NO_PROPAGATION = ((-2, -2),) * len(INTERACTIONS)
 
+# the root level's tags: its one arc, from a phantom state of support 0 to the
+# initial state, gives the initial state support 0 (nop), then 1 (swap)
+ROOT_TAGS = (INTERACTIONS.index("nop"), INTERACTIONS.index("swap"))
+
 SSP, ESSP = 0, 1
 FOUND, NONE, BUDGET = 0, 1, 2
 
@@ -135,12 +142,13 @@ class Problem:
     side of _keep(branch_tags) s is on, and gives the tags left in the
     domain of the arc's event, while it is unassigned, once s has its
     support.  level_arcs[e + 1]: (src, dst, reason) for each arc of event
-    e; slot 0, the root level, is empty.  `plain` holds both with arc bit
-    0; `cored`, with arc bit 1 << (top + a) for arc a (top = number of
-    events + 1), is None until a call asks for a refutation core.  The
-    system is kept, not copied, to build `cored` from.  A node of the
-    search is one root support choice, or one tag tried that is still in
-    its event's domain.
+    e; slot 0, the root level, holds one arc from the phantom state (index
+    number of states) to the initial state, with reason 1, the root's level
+    bit.  `plain` holds both with arc bit 0; `cored`, with arc bit
+    1 << (top + a) for arc a (top = number of events + 1), is None until a
+    call asks for a refutation core.  The system is kept, not copied, to
+    build `cored` from.  A node of the search is one root support choice,
+    or one tag tried that is still in its event's domain.
     """
 
     __slots__ = ("ts", "branch_tags", "plain", "cored")
@@ -164,7 +172,8 @@ def _adjacency(ts, tags, with_bits):
     state_arcs = [
         [fwd[a] for a in outs] + [back[a] for a in ins] for outs, ins in zip(ts.out_arcs, ts.in_arcs)
     ]
-    level_arcs = [()] + [[(arcs[a][0], arcs[a][2], reasons[a]) for a in occ] for occ in ts.event_arcs]
+    root = [(len(ts.states), ts.initial, 1)]
+    level_arcs = [root] + [[(arcs[a][0], arcs[a][2], reasons[a]) for a in occ] for occ in ts.event_arcs]
     return state_arcs, level_arcs
 
 
@@ -194,9 +203,9 @@ def solve(p: Problem, kind: int, goal_a: int, goal_b: int,
         state_arcs, level_arcs = p.plain
     n_states = len(p.ts.states)
     top = len(p.ts.events) + 1
-    sup = [-1] * n_states
-    sig = [-1] * top              # by level; slot 0 (the root) stays -1
-    cause = [0] * n_states        # the reason behind each support
+    sup = [-1] * n_states + [0]   # the last slot is the root arc's phantom source
+    sig = [-1] * top              # by level
+    cause = [0] * (n_states + 1)  # the reason behind each support
     # the domain of each level: the root's supports, each event's tags
     dom = [3] + [(1 << len(tags)) - 1] * (top - 1)
     prune = [0] * top             # the reason behind a level's pruned tags
@@ -221,7 +230,6 @@ def solve(p: Problem, kind: int, goal_a: int, goal_b: int,
         # nothing
         state_arcs = list(state_arcs)
         state_arcs[goal_b] = [(essp_level, 0, goal_b, NO_PROPAGATION, keep_goal)] + state_arcs[goal_b]
-    initial = p.ts.initial
     # the search stack, one slot per level (see the module docstring)
     branch = [0] * top
     acc = [0] * top
@@ -241,65 +249,52 @@ def solve(p: Problem, kind: int, goal_a: int, goal_b: int,
             marks[level] = len(trail)
             dmarks[level] = len(dtrail)
             cm = OK
-            if level == 0:
-                # root choice: nothing is assigned, so nothing can conflict
-                sup[initial] = i
-                cause[initial] = 1
-                trail.append(initial)
-                pending.append(initial)
-                if initial == pa or initial == pb:
-                    q = pa + pb - initial
-                    sup[q] = 1 - i
-                    cause[q] = 1
-                    trail.append(q)
-                    pending.append(q)
-            else:
-                t = tags[i]
-                sig[level] = t
-                fwd = APPLY[t]
-                back = BACK[t]
-                if level == essp_level and sup[goal_b] < 0:
-                    # the goal state takes the undefined side; one that
-                    # had its support already left only tags undefined there
-                    sup[goal_b] = 0 if fwd[0] < 0 else 1
-                    cause[goal_b] = 1 << level
-                    trail.append(goal_b)
-                    pending.append(goal_b)
-                # the decided event's arcs, forward from an assigned
-                # source, else backward from an assigned destination
-                for src, dst, reason in level_arcs[level]:
-                    v = sup[src]
-                    if v >= 0:
-                        o = dst
-                        v = fwd[v]
-                        r = cause[src] | reason
-                    else:
-                        v = sup[dst]
-                        if v < 0:
-                            continue
-                        v = back[v]
-                        if v == -2:
-                            continue
-                        o = src
-                        r = cause[dst] | reason
+            t = tags[i] if level else ROOT_TAGS[i]
+            sig[level] = t
+            fwd = APPLY[t]
+            back = BACK[t]
+            if level == essp_level and sup[goal_b] < 0:
+                # the goal state takes the undefined side; one that had its
+                # support already left only tags undefined there
+                sup[goal_b] = 0 if fwd[0] < 0 else 1
+                cause[goal_b] = 1 << level
+                trail.append(goal_b)
+                pending.append(goal_b)
+            # the decided level's arcs, forward from an assigned source,
+            # else backward from an assigned destination
+            for src, dst, reason in level_arcs[level]:
+                v = sup[src]
+                if v >= 0:
+                    o = dst
+                    v = fwd[v]
+                    r = cause[src] | reason
+                else:
+                    v = sup[dst]
                     if v < 0:
-                        cm = r
-                        break
-                    old = sup[o]
-                    if old < 0:
-                        sup[o] = v
-                        cause[o] = r
-                        trail.append(o)
-                        pending.append(o)
-                        if o == pa or o == pb:
-                            q = pa + pb - o
-                            sup[q] = 1 - v
-                            cause[q] = r
-                            trail.append(q)
-                            pending.append(q)
-                    elif old != v:
-                        cm = cause[o] | r
-                        break
+                        continue
+                    v = back[v]
+                    if v == -2:
+                        continue
+                    o = src
+                    r = cause[dst] | reason
+                if v < 0:
+                    cm = r
+                    break
+                old = sup[o]
+                if old < 0:
+                    sup[o] = v
+                    cause[o] = r
+                    trail.append(o)
+                    pending.append(o)
+                    if o == pa or o == pb:
+                        q = pa + pb - o
+                        sup[q] = 1 - v
+                        cause[q] = r
+                        trail.append(q)
+                        pending.append(q)
+                elif old != v:
+                    cm = cause[o] | r
+                    break
             # propagation: scan the arcs of each state whose support landed,
             # pruning the domains of unassigned events; its assignment step
             # repeats the event scan's, written out twice so that no call
@@ -350,7 +345,7 @@ def solve(p: Problem, kind: int, goal_a: int, goal_b: int,
                 level += 1
                 if level == top:
                     assert all(v >= 0 for v in sup)
-                    return (FOUND, sup, sig[1:], nodes, 0)
+                    return (FOUND, sup[:-1], sig[1:], nodes, 0)
                 branch[level] = acc[level] = 0
                 continue
         else:

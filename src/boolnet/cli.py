@@ -54,13 +54,14 @@ def _read(path: str) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write text, ending in a newline, to the file out or to stdout."""
+    if not text.endswith("\n"):
+        text += "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _nonnegative(arg: str) -> int:

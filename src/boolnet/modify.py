@@ -10,13 +10,16 @@ stacks, only the candidates that meet every set of a refutation family, so
 they stay exact.  Splitting walks, per total label count, the per-event
 group counts that split an event of each refuting even-walk pattern
 (_hitting_compositions, _abab_patterns), then the split events' set
-partitions as restricted-growth strings.  Removal walks, per cost level, the
-subsets that hit every hard refutation certificate (_hitting_combos).  It
-holds that family as bitmasks over the certificates' indices, the ones each
-item hits and the ones each prefix misses, so placing an item is one AND; its
-charges are those of the list walk it replaced.  Node charges: one per
-composition reached or prefix cut, per group tried, and per item placed, plus
-each check's own.
+partitions as restricted-growth strings.  Removal walks, cost level after
+cost level, the subsets that hit every hard refutation certificate
+(_hitting_combos).  It holds that family as bitmasks over the certificates'
+indices, the ones each item hits and the ones each prefix misses, so placing
+an item is one AND, and when at most LOOKAHEAD slots are left after an item
+it places the item only if those slots can still meet every certificate (an
+exact test), so it never extends such a prefix that cannot finish.  Node
+charges: one per composition reached or prefix cut, per group tried, per
+item placed and per item that test places ahead of its last slot, plus each
+check's own.
 
 The searches work in integer indices from the input system to the solver.
 Candidates are index arcs: a split candidate is the input's arcs with the
@@ -760,104 +763,75 @@ def _search_removal(ts, tau, kind, mode, kappa, budget) -> ModificationPlan | No
         hits = (i for i, item in enumerate(items) if item[1] & mask or not _atom_alive(key, *item[1:]))
         hard.append(_mask_of(hits))
 
-    for cost in range(0, min(kappa, n_items) + 1):
-        for combo in _hitting_combos(n_items, cost, hard, budget):
-            removal = _fold(items, combo)
-            removed_mask, gone_states, gone_events = removal
-            if _dead_event(event_masks, removed_mask, gone_events) >= 0:
-                continue
-            if any(not mask & removed_mask and _atom_alive(key, *removal) for key, mask in soft_list):
-                continue
-            if _unreached_state(ts, removed_mask, gone_states) >= 0:
-                continue
-            states, events, arc_origin, initial, arcs = _restrict(ts, *removal)
-            check = _check(tau, budget, True, states, len(events), initial, arcs)
+    for combo in _hitting_combos(n_items, min(kappa, n_items), hard, budget):
+        removal = _fold(items, combo)
+        removed_mask, gone_states, gone_events = removal
+        if _dead_event(event_masks, removed_mask, gone_events) >= 0:
+            continue
+        if any(not mask & removed_mask and _atom_alive(key, *removal) for key, mask in soft_list):
+            continue
+        if _unreached_state(ts, removed_mask, gone_states) >= 0:
+            continue
+        states, events, arc_origin, initial, arcs = _restrict(ts, *removal)
+        check = _check(tau, budget, True, states, len(events), initial, arcs)
 
-            if last_fail is not None and _atom_alive(last_fail, *removal):
-                atom_kind, a, b, _ = last_fail
-                a = _rank(gone_events if atom_kind == ESSP else gone_states, a)
-                core = check.refute(atom_kind, a, _rank(gone_states, b))
-                if core is not None:
-                    record_certificate(arc_origin, last_fail, core)
-                    continue
+        if last_fail is not None and _atom_alive(last_fail, *removal):
+            atom_kind, a, b, _ = last_fail
+            a = _rank(gone_events if atom_kind == ESSP else gone_states, a)
+            core = check.refute(atom_kind, a, _rank(gone_states, b))
+            if core is not None:
+                record_certificate(arc_origin, last_fail, core)
+                continue
 
-            failure = check.first_failure(prop)
-            if failure is None:
-                names = tuple(items[i][0] for i in combo)
-                return ModificationPlan(kind=kind, cost=cost, **{kind + "s": names})
-            atom_kind, a, b, core = failure
-            key = _atom_key(ts, atom_kind, (events if atom_kind == ESSP else states)[a], states[b])
-            last_fail = key
-            record_certificate(arc_origin, key, core)
+        failure = check.first_failure(prop)
+        if failure is None:
+            names = tuple(items[i][0] for i in combo)
+            return ModificationPlan(kind=kind, cost=len(combo), **{kind + "s": names})
+        atom_kind, a, b, core = failure
+        key = _atom_key(ts, atom_kind, (events if atom_kind == ESSP else states)[a], states[b])
+        last_fail = key
+        record_certificate(arc_origin, key, core)
     return None
 
 
-def _hitting_combos(n_items: int, k: int, masks: list[int], budget):
-    """Every k-subset of range(n_items) meeting each mask of masks (bitmasks
-    over range(n_items)), which the caller may extend between yields, as a
-    sorted tuple, in lexicographic order.  An item may not pass the least top
-    bit of the masks the items before it miss, and the last must meet them
-    all.  Charges one node per item placed.
+def _hitting_combos(n_items: int, kmax: int, masks: list[int], budget):
+    """Every subset of at most kmax items of range(n_items) that meets each
+    mask of masks (bitmasks over range(n_items)), which the caller may extend
+    between yields, as a sorted tuple: by size, then in lexicographic order.
 
-    The family is held by mask index, in int bitmasks: hit[i] is the masks
-    item i meets, low[L] the masks whose top bit is below L, and unmet[d]
-    the masks the items before depth d miss.  So a placement is one AND,
-    unmet[d + 1] = unmet[d] & ~hit[item], and the last item is the first
-    bit from nxt on of one unmet mask whose item meets every unmet mask.
+    A k-subset is placed item by item.  An item may not pass the least top
+    bit of the masks the items before it miss, nor be placed at a depth d
+    below k - 2 when the r = k - d - 1 items after it cannot meet every mask
+    it leaves unmet (_can_finish, for r up to LOOKAHEAD).  At depth k - 2 an
+    item is placed only when a later item meets every mask it leaves unmet,
+    and those later items (fits) are what the last depth yields.  These
+    tests are exact, so the walk skips only placements that yield nothing.
+    Charges one node per item placed and per item a _can_finish test places
+    ahead of its last slot; a skipped placement and the fits test charge
+    nothing.
+
+    The walk indexes the masks by position t in int bitmasks: hit[i] is the
+    masks item i meets, low[L] those whose top bit is below L, and unmet[d]
+    those the items before depth d miss, so a placement is one AND,
+    unmet[d + 1] = unmet[d] & ~hit[item].  Only sizes over 1 place items
+    before the last, so only they bring the index up to date.
     tests/test_modify.py keeps a reference walk over lists of unmet masks
-    (list_hitting_combos) that must yield the same subsets and charge the
-    same nodes."""
-    if not k:
-        if not masks:
-            yield ()
-        return
-    if k == 1:  # one depth: the items every mask meets, kept as one AND
-        common, seen, c = (1 << n_items) - 1, 0, -1
-        while True:
-            for t in range(seen, len(masks)):
-                common &= masks[t]
-            seen = len(masks)
-            fits = common >> (c + 1) << (c + 1)
-            if not fits:
-                return
-            c = (fits & -fits).bit_length() - 1
-            budget.charge()
-            yield (c,)
+    (list_hitting_combos) that must yield the same subsets."""
+    full = (1 << n_items) - 1
     hit = [0] * n_items
     low = [0] * (n_items + 1)
-    seen = len(masks)
-    for t in range(seen):
-        m = masks[t]
-        bit = 1 << t
-        low[m.bit_length()] |= bit
-        while m:
-            b = m & -m
-            hit[b.bit_length() - 1] |= bit
-            m ^= b
-    for length in range(n_items):
-        low[length + 1] |= low[length]
-    combo = [0] * k
-    unmet = [(1 << seen) - 1] + [0] * (k - 1)
-    d = nxt = 0
-    while True:
-        u = unmet[d]
-        if d == k - 1:
-            c = nxt
-            if u:
-                m = masks[(u & -u).bit_length() - 1] >> nxt
-                c = n_items
-                while m:
-                    b = m & -m
-                    if hit[nxt + b.bit_length() - 1] & u == u:
-                        c = nxt + b.bit_length() - 1
-                        break
-                    m ^= b
-            if c < n_items:
-                budget.charge()
-                combo[d] = c
-                nxt = c + 1
-                yield tuple(combo)
-                for t in range(seen, len(masks)):  # arrived during the yield
+    indexed = 0  # the masks hit and low cover
+    if not masks:
+        yield ()
+    for k in range(1, kmax + 1):
+        combo = [0] * k
+        seen = len(masks)  # the masks this size has read
+        unmet = [(1 << seen) - 1] + [0] * (k - 1)
+        fits = _meeting_items(unmet[0], full, masks) if k == 1 else 0  # the last depth's items
+        d = nxt = 0
+        while True:
+            if indexed < seen and k > 1:
+                for t in range(indexed, seen):
                     m = masks[t]
                     bit = 1 << t
                     for length in range(m.bit_length(), n_items + 1):
@@ -866,23 +840,114 @@ def _hitting_combos(n_items: int, k: int, masks: list[int], budget):
                         b = m & -m
                         hit[b.bit_length() - 1] |= bit
                         m ^= b
-                    for j in range(k):
-                        unmet[j] |= bit
-                        if hit[combo[j]] & bit:
-                            break
-                seen = len(masks)
+                indexed = seen
+            u = unmet[d]
+            if d == k - 1:
+                c = fits >> nxt
+                if c:
+                    c = nxt + (c & -c).bit_length() - 1
+                    budget.charge()
+                    combo[d] = c
+                    nxt = c + 1
+                    yield tuple(combo)
+                    for t in range(seen, len(masks)):  # arrived during the yield
+                        m = masks[t]
+                        bit = 1 << t
+                        for j in range(k):
+                            unmet[j] |= bit
+                            if (m >> combo[j]) & 1:
+                                break
+                        if unmet[-1] & bit:
+                            fits &= m
+                    seen = len(masks)
+                    continue
+            elif nxt <= n_items - k + d and not u & low[nxt]:
+                v = u & ~hit[nxt]
+                later = full >> (nxt + 1) << (nxt + 1)
+                if d == k - 2:
+                    fits = _meeting_items(v, later, masks)
+                    if not fits:
+                        nxt += 1
+                        continue
+                elif v and k - d - 1 <= LOOKAHEAD:
+                    ok, placed = _can_finish(v, k - d - 1, later, masks, hit)
+                    budget.charge(placed)
+                    if not ok:
+                        nxt += 1
+                        continue
+                budget.charge()
+                combo[d] = nxt
+                d += 1
+                unmet[d] = v
+                nxt += 1
                 continue
-        elif nxt <= n_items - k + d and not u & low[nxt]:
-            budget.charge()
-            combo[d] = nxt
-            d += 1
-            unmet[d] = u & ~hit[nxt]
-            nxt += 1
-            continue
-        if not d:
-            return
-        d -= 1
-        nxt = combo[d] + 1
+            if not d:
+                break
+            d -= 1
+            nxt = combo[d] + 1
+
+
+# The most slots _can_finish looks ahead; a test's cost grows as |mask|^r.  On
+# the edge-removal gadgets of 5-7 vertex graphs, caps 5 to 8 charged within 5%
+# of each other, cap 4 up to twice the nodes and cap 2 about 50 times.
+LOOKAHEAD = 5
+
+
+def _meeting_items(u: int, items: int, masks: list[int]) -> int:
+    """The items of the bitmask items that meet every mask in u (a bitmask
+    over mask indices)."""
+    while u and items:
+        b = u & -u
+        items &= masks[b.bit_length() - 1]
+        u ^= b
+    return items
+
+
+def _can_finish(u: int, r: int, items: int, masks: list[int], hit: list[int]) -> tuple[bool, int]:
+    """Whether at most r of the items (a bitmask) meet every mask in u (a
+    bitmask over mask indices), and how many items the test placed ahead of
+    its last slot.
+
+    The bounded search tree for d-Hitting Set (Niedermeier & Rossmanith,
+    J. Discrete Algorithms 1(1), 2003), over an explicit stack.  Every
+    hitting set meets the first unmet mask, so a slot branches on that
+    mask's items, and the i-th branch excludes the items of the branches
+    before it: a set holding one of those is found in that branch.  The last
+    slot scans the first unmet mask for an item that meets them all, and
+    stops at the first; the walk's own r = 1 test ANDs the masks instead,
+    because it needs every such item.  Slot j
+    keeps its unmet masks us[j], its excluded items excl[j] and its items
+    left to try todo[j]."""
+    placed = 0
+    us, excl, todo = [], [], []
+    x = 0
+    while True:
+        m = masks[(u & -u).bit_length() - 1] & items & ~x
+        if len(todo) == r - 1:
+            while m:
+                b = m & -m
+                if hit[b.bit_length() - 1] & u == u:
+                    return True, placed
+                m ^= b
+        else:
+            us.append(u)
+            excl.append(x)
+            todo.append(m)
+        while todo and not todo[-1]:
+            us.pop()
+            excl.pop()
+            todo.pop()
+        if not todo:
+            return False, placed
+        c = todo[-1]
+        b = c & -c
+        todo[-1] = c ^ b
+        x = excl[-1]
+        excl[-1] = x | b
+        u = us[-1] & ~hit[b.bit_length() - 1]
+        placed += 1
+        if not u:
+            return True, placed
 
 
 def _mask_of(arcs) -> int:

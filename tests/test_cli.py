@@ -55,6 +55,20 @@ def test_check_writes_file(files):
     assert bn.parse_regions(out.read_text(encoding="utf-8"))
 
 
+def test_a_no_written_with_out_is_what_stdout_gets(files, capsys):
+    # a two-state a-cycle: under nop the two states share their support,
+    # and under set both get support 1, so no region separates them
+    cycle = files["dir"] / "cycle.ts"
+    cycle.write_text("ts c\ninitial s0\narc s0 a s1\narc s1 a s0\n", encoding="utf-8")
+    out = files["dir"] / "answer.out"
+    args = ["check", "--prop", "ssp", "--type", "nop,set", str(cycle)]
+    assert run(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().out == ""
+    assert run(args) == 1
+    assert out.read_bytes().decode("utf-8") == capsys.readouterr().out
+    assert out.read_text(encoding="utf-8") == "no: atom (s0,s1) has no solving region\n"
+
+
 def test_synth_round_trip(files, capsys):
     assert run(["synth", "--mode", "realize", "--type", "nop,inp,swap", str(files["splittable"])]) == 0
     net = bn.parse_net(capsys.readouterr().out)

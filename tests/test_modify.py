@@ -536,58 +536,136 @@ def test_hitting_compositions_match_a_filter_of_product():
     assert skipped > 1000
 
 
-def test_hitting_combos_match_a_filter_of_combinations():
-    """The removal search's walk yields exactly the k-subsets that meet every
-    mask known when it reaches them, in lexicographic order, with masks
-    arriving between yields.  It charges one node per item placed: with a
-    fixed family, one per subset it yields and one per shorter prefix that
-    can still grow into k items and leaves no mask without a later bit;
-    always at most the unpruned walk's placements less one per subset it
-    skips."""
+def finish_reference(unmet, r, items, excluded=frozenset()):
+    """(whether at most r of items, none excluded, meet every mask of the
+    list unmet; how many items it places ahead of its last slot), by the
+    rule of modify._can_finish: branch on the items of the first unmet mask,
+    each branch excluding the items of the branches before it, and scan the
+    last slot."""
+    first = [i for i in items if (unmet[0] >> i) & 1 and i not in excluded]
+    if r == 1:
+        return any(meets_all([i], unmet) for i in first), 0
+    placed = 0
+    for j, i in enumerate(first):
+        placed += 1
+        rest = [m for m in unmet if not (m >> i) & 1]
+        if not rest:
+            return True, placed
+        ok, more = finish_reference(rest, r - 1, items, excluded | set(first[:j]))
+        placed += more
+        if ok:
+            return True, placed
+    return False, placed
+
+
+def test_can_finish_is_exact():
+    """The removal walk's lookahead answers whether r items from start on
+    can meet every unmet mask, as a search over all such sets does, and
+    places the items the reference rule places."""
+    rng = random.Random(2003)
+    answers = {True: 0, False: 0}
+    for _ in range(1500):
+        n = rng.randint(1, 9)
+        masks = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 7))]
+        hit = [sum(1 << t for t, m in enumerate(masks) if (m >> i) & 1) for i in range(n)]
+        u = rng.randrange(1, 1 << len(masks))
+        r = rng.randint(1, 4)
+        start = rng.randint(0, n - 1)
+        unmet = [m for t, m in enumerate(masks) if (u >> t) & 1]
+        items = range(start, n)
+        brute = any(
+            meets_all(chosen, unmet)
+            for size in range(1, min(r, len(items)) + 1)
+            for chosen in itertools.combinations(items, size)
+        )
+        got = modify._can_finish(u, r, ((1 << n) - 1) >> start << start, masks, hit)
+        assert got == finish_reference(unmet, r, items), (masks, u, r, start)
+        assert got[0] == brute, (masks, u, r, start)
+        answers[brute] += 1
+    assert min(answers.values()) > 300, answers
+
+
+def test_hitting_combos_match_a_filter_of_combinations(monkeypatch):
+    """The removal search's walk yields exactly the subsets of at most k
+    items that meet every mask known when it reaches them, by size and then
+    in lexicographic order, with masks arriving between yields.  With a
+    fixed family and k - 1 <= LOOKAHEAD its lookahead is exact at every
+    depth, so per size it places exactly the subsets it yields and their
+    distinct shorter prefixes, one node each, and adds what its tests
+    place."""
+    lookahead = []
+
+    def counted(*args):
+        ok, placed = can_finish(*args)
+        lookahead.append(placed)
+        return ok, placed
+
+    can_finish = modify._can_finish
+    monkeypatch.setattr(modify, "_can_finish", counted)
     rng = random.Random(61)
     skipped = 0
     for _ in range(600):
         n = rng.randint(1, 8)
-        k = rng.randint(1, n)
+        k = rng.randint(1, min(n, modify.LOOKAHEAD + 1))
         masks = [rng.randrange(1 << n) for _ in range(rng.randint(0, 2))]
-        fixed = list(masks)
         budget = bn.NodeBudget()
-        yielded = len(list(_hitting_combos(n, k, fixed, budget)))
-        placed = sum(
-            1
-            for d in range(1, k)
-            for p in itertools.combinations(range(n - k + d), d)
-            if all(meets_all(p, [m]) or m >> (p[-1] + 1) for m in fixed)
-        )
-        assert budget.used == yielded + placed, (n, k, fixed)
+        lookahead.clear()
+        yielded = list(_hitting_combos(n, k, list(masks), budget))
+        nonempty = [combo for combo in yielded if combo]  # the empty set charges nothing
+        prefixes = {(len(combo), combo[:d]) for combo in nonempty for d in range(1, len(combo))}
+        assert budget.used == len(nonempty) + len(prefixes) + sum(lookahead), (n, k, masks)
 
         known = [len(masks)]  # masks known before each yield, and at the end
-        budget = bn.NodeBudget()
         got = []
-        for combo in _hitting_combos(n, k, masks, budget):
+        for combo in _hitting_combos(n, k, masks, bn.NodeBudget()):
             got.append(combo)
             if rng.random() < 0.4:
                 masks.append(rng.randrange(1, 1 << n))
             known.append(len(masks))
         want = []
-        for combo in itertools.combinations(range(n), k):
-            if meets_all(combo, masks[: known[len(want)]]):
-                want.append(combo)
+        for size in range(k + 1):
+            for combo in itertools.combinations(range(n), size):
+                if meets_all(combo, masks[: known[len(want)]]):
+                    want.append(combo)
         assert got == want, (n, k, masks)
-        unpruned = sum(comb(n - k + d, d) for d in range(1, k + 1))
-        rejected = comb(n, k) - len(want)
-        assert budget.used <= unpruned - rejected, (n, k, masks)
-        skipped += rejected
+        skipped += sum(comb(n, size) for size in range(k + 1)) - len(want)
     assert skipped > 1000
     # the empty subset meets no mask
     assert list(_hitting_combos(3, 0, [], bn.NodeBudget())) == [()]
     assert list(_hitting_combos(3, 0, [1], bn.NodeBudget())) == []
 
 
+@pytest.mark.parametrize(
+    "n, k, masks, yields, nodes",
+    [
+        # no smaller set; 4 pairs, and their 2 first items, each placed
+        # because a later item meets the mask it leaves
+        (4, 2, [0b0011, 0b1100], 4, 6),
+        # no smaller set: 8 triples, 6 shorter prefixes, and the r = 2 tests
+        # for items 0 and 1 each place item 2 before their last slot finds 4
+        (6, 3, [0b000011, 0b001100, 0b110000], 8, 16),
+        # items 2, 3 and 4 are all needed besides one of 0 and 1: the tests
+        # for items 0 and 1 each place item 2, find no last item and cut
+        (5, 3, [0b00011, 0b00100, 0b01000, 0b10000], 0, 2),
+    ],
+)
+def test_hitting_combos_charge_small_families_exactly(n, k, masks, yields, nodes):
+    budget = bn.NodeBudget()
+    assert len(list(_hitting_combos(n, k, masks, budget))) == yields
+    assert budget.used == nodes
+
+
+def list_walk(n_items, kmax, masks, budget):
+    """The list walk over every size up to kmax, as the bitset walk orders
+    them."""
+    for k in range(kmax + 1):
+        yield from list_hitting_combos(n_items, k, masks, budget)
+
+
 def list_hitting_combos(n_items, k, masks, budget):
     """The removal walk as it was when it kept each depth's unmet masks as a
-    list: the reference the bitset walk must match yield for yield and node
-    for node."""
+    list, before it looked ahead: the reference the bitset walk must match
+    yield for yield."""
     if not k:
         if not masks:
             yield ()
@@ -643,9 +721,9 @@ def family_mask(rng, n, k, masks, planted):
 def test_hitting_combos_match_the_list_walk():
     """On families of up to 60 masks over up to 40 items, some arriving
     between yields, the bitset walk yields what the list walk yields, in the
-    same order, and charges the same nodes: the same budget.used when both
-    finish, and the same SearchBudgetExceeded.nodes after the same yields
-    under a node limit."""
+    same order.  Under a node limit the two may stop at different yields,
+    since the lookahead charges nodes of its own and spares others, so one
+    walk's yields must then be a prefix of the other's."""
 
     def walk(walker, n, k, masks, planted, limit, seed):
         rng = random.Random(seed)
@@ -660,9 +738,9 @@ def test_hitting_combos_match_the_list_walk():
                     if rng.random() < 0.5:  # as a certificate of combo: none of its items meets it
                         mask &= ~sum(1 << i for i in combo)
                     masks.append(mask)
-        except bn.SearchBudgetExceeded as exc:
-            return got, len(masks), ("exceeded", exc.nodes)
-        return got, len(masks), ("done", budget.used)
+        except bn.SearchBudgetExceeded:
+            return got, len(masks), "exceeded"
+        return got, len(masks), "done"
 
     rng = random.Random(1913)
     ends = {"exceeded": 0, "done": 0}
@@ -675,10 +753,14 @@ def test_hitting_combos_match_the_list_walk():
         for _ in range(rng.choice((0, 2, 6, 20, 60))):
             masks.append(family_mask(rng, n, k, masks, planted))
         limit = rng.choice((None if n <= 14 else 3000, 1, 7, 60, 400, 3000))
-        want = walk(list_hitting_combos, n, k, masks, planted, limit, trial)
+        want = walk(list_walk, n, k, masks, planted, limit, trial)
         got = walk(_hitting_combos, n, k, masks, planted, limit, trial)
-        assert got == want, (n, k, masks, limit)
-        ends[got[2][0]] += 1
+        if got[2] == want[2] == "done":
+            assert got == want, (n, k, masks, limit)
+        else:
+            short, long = sorted((got[0], want[0]), key=len)
+            assert long[: len(short)] == short, (n, k, masks, limit)
+        ends[got[2]] += 1
         yields += len(got[0])
         arrivals += got[1] - len(masks)
         big += len(got[0]) if len(masks) >= 20 else 0
@@ -688,6 +770,29 @@ def test_hitting_combos_match_the_list_walk():
         arrivals,
         big,
     )
+
+
+@pytest.mark.parametrize(
+    "edges, lam, answer",
+    [
+        (((0, 1), (2, 3), (2, 4), (0, 2), (3, 4)), 3, True),
+        (((0, 1), (2, 3), (3, 4), (3, 5), (0, 5), (1, 4)), 3, True),
+        (((0, 1), (1, 2), (3, 4), (0, 2), (4, 5), (3, 5)), 3, False),
+    ],
+)
+def test_removal_walk_decides_the_gadget_tails(edges, lam, answer):
+    """Bidirectional edge removal under {nop,swap,used} at cover number 3,
+    the removal search's hardest gadgets: the walk's lookahead decides each
+    within 10^6 nodes, where the walk without it charged 2.5 million nodes
+    on the first and passed 10^7 on the other two."""
+    graph = bn.Graph3B.build([(f"v{a}", f"v{b}") for a, b in edges])
+    ts, kappa = bn.build_gadget(graph, bn.GadgetSpec("edge", "bidirectional", lam))
+    plan = bn.decide(ts, TAU_B, "edge", "langsim", kappa, node_limit=10**6)
+    assert (plan is not None) == answer == (bn.brute_force_vc(graph, lam) is not None)
+    if plan is not None:
+        assert plan.cost <= kappa
+        result = bn.apply_plan(ts, plan)
+        assert isinstance(bn.decide_property(result, TAU_B, bn.property_for_mode("langsim")), bn.Witness)
 
 
 def test_decide_stays_in_index_space(monkeypatch):
