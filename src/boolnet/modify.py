@@ -913,11 +913,12 @@ def _can_finish(u: int, r: int, items: int, masks: list[int], hit: list[int]) ->
     hitting set meets the first unmet mask, so a slot branches on that
     mask's items, and the i-th branch excludes the items of the branches
     before it: a set holding one of those is found in that branch.  The last
-    slot scans the first unmet mask for an item that meets them all, and
-    stops at the first; the walk's own r = 1 test ANDs the masks instead,
-    because it needs every such item.  Slot j
-    keeps its unmet masks us[j], its excluded items excl[j] and its items
-    left to try todo[j]."""
+    slot scans the first unmet mask for an item that meets them all, at one
+    AND per item, and stops at the first; _meeting_items costs one AND per
+    unmet mask, which deep in a test are many more than the items left to
+    scan.  The walk's own r = 1 test uses it because it needs every such
+    item.  Slot j keeps its unmet masks us[j], its excluded items excl[j]
+    and its items left to try todo[j]."""
     placed = 0
     us, excl, todo = [], [], []
     x = 0
