@@ -37,12 +37,15 @@ solve_index call, first_failure is decide_property plus, when the removal
 search wants a core, a second solve of the failure atom.  Either way a core
 is a bitmask over the arcs.  The check's events are numbered and its state
 names only name a state its walk misses (split candidates pass the input's,
-removal candidates, screened by _unreached_state first, their original
-indices), so the searches build no names; those appear only in the plans
-they return.  Removal items are data: each removable edge, event or state
-is its arc mask plus the bit of the state or event it takes with it, so the
-three removal kinds differ only in their item list, and apply_plan and the
-removal search share one validity screen over those masks.
+removal candidates their original indices), so the searches build no names;
+those appear only in the plans they return.  Either check walks its
+candidate (ts.spanning_tree) while it is built, before it charges a node,
+and raises Unreachable for a state the walk misses: that walk is the one
+reachability test, and the removal search skips such a candidate.  Removal
+items are data: each removable edge, event or state is its arc mask plus
+the bit of the state or event it takes with it, so the three removal kinds
+differ only in their item list, and apply_plan and the removal search share
+one validity screen over those masks (_dead_event) before that walk.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .errors import InvalidPlan, ParseError, UnknownId
+from .errors import InvalidPlan, ParseError, UnknownId, Unreachable
 from .interactions import BooleanType
 from .linear import LINEAR_TAGS, LinearProblem, is_linear
 from .regions import (
@@ -214,12 +217,14 @@ def _apply_removal(ts: TransitionSystem, plan: ModificationPlan) -> TransitionSy
     e = _dead_event([_mask_of(occ) for occ in ts.event_arcs], removed_mask, gone_events)
     if e >= 0:
         raise InvalidPlan("useless-event", ts.events[e])
-    s = _unreached_state(ts, removed_mask, gone_states)
-    if s >= 0:
-        raise InvalidPlan("unreachable-state", ts.states[s])
     states, events, _, initial, arcs = _restrict(ts, removed_mask, gone_states, gone_events)
     names = tuple(ts.states[s] for s in states), tuple(ts.events[e] for e in events)
-    return TransitionSystem(ts.name, *names, initial, tuple(arcs))
+    result = TransitionSystem(ts.name, *names, initial, tuple(arcs))
+    try:
+        result.walk()
+    except Unreachable as exc:
+        raise InvalidPlan("unreachable-state", exc.state) from None
+    return result
 
 
 def _fold(items: list[tuple], chosen) -> tuple[int, int, int]:
@@ -241,28 +246,12 @@ def _dead_event(event_masks: list[int], removed_mask: int, gone_events: int) -> 
     return -1
 
 
-def _unreached_state(ts: TransitionSystem, removed_mask: int, gone_states: int) -> int:
-    """The lowest kept state the surviving arcs do not reach from the
-    initial state, or -1."""
-    seen = 1 << ts.initial
-    stack = [ts.initial]
-    while stack:
-        for a in ts.out_arcs[stack.pop()]:
-            if (removed_mask >> a) & 1:
-                continue
-            d = ts.arcs[a][2]
-            if not (seen >> d) & 1:
-                seen |= 1 << d
-                stack.append(d)
-    missing = ((1 << len(ts.states)) - 1) & ~seen & ~gone_states
-    return (missing & -missing).bit_length() - 1
-
-
 def _restrict(ts: TransitionSystem, removed_mask: int, gone_states: int, gone_events: int):
     """The system without the removed arcs and gone states and events, in
     indices: the original index of each surviving state, event and arc, the
     new initial state, and the surviving arcs in new indices.  Validity is
-    the caller's business: see _dead_event and _unreached_state."""
+    the caller's business: see _dead_event, and the walk of whatever is
+    built from the result (ts.spanning_tree) for reachability."""
     states = [s for s in range(len(ts.states)) if not (gone_states >> s) & 1]
     events = [e for e in range(len(ts.events)) if not (gone_events >> e) & 1]
     origin = [a for a in range(len(ts.arcs)) if not (removed_mask >> a) & 1]
@@ -770,10 +759,11 @@ def _search_removal(ts, tau, kind, mode, kappa, budget) -> ModificationPlan | No
             continue
         if any(not mask & removed_mask and _atom_alive(key, *removal) for key, mask in soft_list):
             continue
-        if _unreached_state(ts, removed_mask, gone_states) >= 0:
-            continue
         states, events, arc_origin, initial, arcs = _restrict(ts, *removal)
-        check = _check(tau, budget, True, states, len(events), initial, arcs)
+        try:
+            check = _check(tau, budget, True, states, len(events), initial, arcs)
+        except Unreachable:
+            continue  # raised by the check's walk, before it charges a node
 
         if last_fail is not None and _atom_alive(last_fail, *removal):
             atom_kind, a, b, _ = last_fail

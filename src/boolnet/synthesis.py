@@ -136,9 +136,12 @@ def synthesize(
     name: str | None = None,
 ) -> SynthesisResult | SeparationAtom:
     """Synthesize a net implementing ts under the mode, or report the atom
-    blocking it.  Every success is re-verified by verify_implementation,
-    which fires the net in lockstep with ts; a verification failure raises
-    (it indicates an internal bug)."""
+    blocking it.  ts is first checked as TransitionSystem.build checks it,
+    so a constructor-built system with an unreached state raises Unreachable
+    and one with an arcless event UselessEvent.  Every success is
+    re-verified by verify_implementation, which fires the net in lockstep
+    with ts; a verification failure raises (it indicates an internal bug)."""
+    ts._validate()
     result = decide_property(ts, tau, property_for_mode(mode), budget)
     if isinstance(result, SeparationAtom):
         return result

@@ -283,9 +283,11 @@ def brute_decide(ts, tau, kind, mode, kappa):
     """Exhaustive minimum-cost search over modification plans.
 
     Shares only apply_plan and has_property with the library; the candidate
-    enumeration itself is naive.  For removals the canonical enumeration
-    order matches decide()'s, so the returned plan is comparable exactly;
-    for splits only existence and cost are meaningful.
+    enumeration itself is naive, in decide()'s order, so the returned plan
+    is comparable exactly.  Removals go by size, then combinations in item
+    order; splits by cost, then the per-event extra group counts in
+    lexicographic order, then each split event's restricted-growth strings
+    in turn, the first event's outermost.
     """
     prop = bn.property_for_mode(mode)
 

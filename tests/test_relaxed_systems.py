@@ -3,10 +3,10 @@
 Only the TransitionSystem constructor makes such a system; `build` and the
 parsers reject it.  Each check walks the system's spanning tree
 (`ts.spanning_tree`) and raises Unreachable naming the lowest-index state the
-walk misses.  The removal searches screen candidates before any check, so a
-state-removal plan may delete the unreached state, while edge and event
-removal never reach it and answer None.  The split search answers None
-without a walk only when no candidate reaches a check.
+walk misses.  The removal search skips each candidate whose own check's
+walk raises, so a state-removal plan may delete the unreached state, while
+edge and event removal never reach it and answer None.  The split search
+answers None without a walk only when no candidate reaches a check.
 
 `relaxed_matrix` uses no assert statement, so the same checks run under
 `python -O` too, where a bare assert in the library would be gone.
@@ -83,7 +83,7 @@ def relaxed_matrix():
 
         if ts is FAST:
             continue
-        # removal screens candidates by reachability before any check
+        # removal skips the candidates whose checks' walks raise
         for tau in (KERNEL_TAU, LINEAR_TAU):
             for mode in bn.MODES:
                 plan = bn.decide(ts, tau, "state", mode, len(unreached))

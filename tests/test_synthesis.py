@@ -133,6 +133,21 @@ def test_verify_implementation_raises_on_an_unreached_state():
     assert exc.value.state == "s2"
 
 
+def test_synthesize_checks_the_system_as_build_does():
+    # b has no arc, so build rejects the system; its property holds, but
+    # without the check langsim and realize fail their own verification
+    ts = bn.TransitionSystem(None, ("s0", "s1"), ("a", "b"), 0, ((0, 0, 1), (1, 0, 0)))
+    for mode in bn.MODES:
+        with pytest.raises(bn.UselessEvent) as exc:
+            bn.synthesize(ts, TAU, mode)
+        assert exc.value.event == "b"
+    # as in build, an unreached state is reported first
+    ts = bn.TransitionSystem(None, ("s0", "s1", "s2"), ("a", "b"), 0, ((0, 0, 1),))
+    with pytest.raises(bn.Unreachable) as exc:
+        bn.synthesize(ts, TAU, "embed")
+    assert exc.value.state == "s2"
+
+
 def test_synthesized_nets_verify_for_their_mode():
     rng = random.Random(60902)
     produced = 0
