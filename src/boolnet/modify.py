@@ -5,12 +5,15 @@ fresh copies, or removing edges, events, or states.  decide() answers the
 corresponding decision problem exactly for a budget and implementation mode,
 returning a minimum-cost (canonically least) plan on yes.
 
-Search layout: both searches walk, in lexicographic order over explicit
-stacks, only the candidates that meet every set of a refutation family, so
-they stay exact.  Splitting walks, per total label count, the per-event
-group counts that split an event of each refuting even-walk pattern
-(_hitting_compositions, _abab_patterns), then the split events' set
-partitions as restricted-growth strings.  Removal walks, cost level after
+Search layout: each search is walks that yield candidates and one loop
+that checks them.  The walks go, in lexicographic order over explicit
+stacks, only over the candidates that meet every set of a refutation
+family, so the searches stay exact.  Splitting walks, per total label
+count, the per-event group counts that split an event of each refuting
+even-walk pattern (_hitting_compositions, _abab_patterns), then the split
+events' set partitions as restricted-growth strings (_group_strings), which
+decides each pattern at the last slot among the arcs it watches and skips
+the strings on which one still refutes.  Removal walks, cost level after
 cost level, the subsets that hit every hard refutation certificate
 (_hitting_combos).  It holds that family as bitmasks over the certificates'
 indices, the ones each item hits and the ones each prefix misses, so placing
@@ -141,7 +144,10 @@ def apply_plan(ts: TransitionSystem, plan: ModificationPlan) -> TransitionSystem
     structurally broken payloads, and InvalidPlan(reason) for the semantic
     violations: empty-group, initial-removed, unreachable-state,
     useless-event.  A split plan whose cost is not split_plan_cost raises
-    ParseError, after every other check.
+    ParseError, after every other check.  Before all of these, a system
+    with an event without an arc raises UselessEvent, and a split plan
+    checks the system as TransitionSystem.build does, so an unreached state
+    raises Unreachable first.
     """
     if plan.kind == "split":
         return _apply_split(ts, plan)
@@ -149,7 +155,7 @@ def apply_plan(ts: TransitionSystem, plan: ModificationPlan) -> TransitionSystem
 
 
 def _apply_split(ts: TransitionSystem, plan: ModificationPlan) -> TransitionSystem:
-    ts.walk()  # build drops an arcless state
+    ts._validate()  # as build checks it: build drops an arcless state or event
     grp = [0] * len(ts.arcs)
     groups_used: dict[int, int] = {}
     seen_events = set()
@@ -199,6 +205,7 @@ def _removal_items(ts: TransitionSystem, kind: str) -> list[tuple]:
 
 
 def _apply_removal(ts: TransitionSystem, plan: ModificationPlan) -> TransitionSystem:
+    ts._validate_events()  # events only: a state plan may delete an unreached state
     kind = plan.kind
     items = _removal_items(ts, kind)
     index = {item[0]: i for i, item in enumerate(items)}
@@ -488,6 +495,9 @@ def decide(
     resolve_node_limit for bad values); crossing it raises
     SearchBudgetExceeded rather than guessing.  Results are deterministic:
     cost first, then composition/subset enumeration order breaks ties.
+    An event without an arc raises UselessEvent, as TransitionSystem.build
+    does, before any answer; an unreached state is left to the search (a
+    state plan may delete it).
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -496,6 +506,7 @@ def decide(
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
     budget = NodeBudget(resolve_node_limit(node_limit))
+    ts._validate_events()
     if kind == "split" and kappa < len(ts.events):
         return None
     fast = decide_fast_path(ts, tau, kind, mode, budget)
@@ -568,120 +579,90 @@ def _search_split(ts, tau, mode, kappa, budget) -> ModificationPlan | None:
     # the last failing atom, rechecked first: it usually refutes the next
     # candidate too.  (SSP, s, s') or (ESSP, (e, g), s)
     sticky = None
-
-    grp = [0] * len(ts.arcs)
-    extra = [0] * n_events
-    # per composition: the patterns watching each arc of a split event, and
-    # the watched arcs each pattern has left to assign
-    watchers: dict[int, list[int]] = {}
-    countdown = [0] * len(patterns)
-
-    def pattern_dead(pi) -> bool:
-        a1, a2, a3, a4, alpha, _, refutes = patterns[pi]
-        if grp[a1] != grp[a3] or grp[a2] != grp[a4]:
-            return False  # walk broken by the split
-        return refutes or grp[alpha] != grp[a1]
-
-    def assign(a: int, g: int) -> bool:
-        grp[a] = g
-        ok = True
-        for pi in watchers.get(a, ()):
-            countdown[pi] -= 1
-            if ok and countdown[pi] == 0 and pattern_dead(pi):
-                ok = False
-        return ok
-
-    def unassign(a: int) -> None:
-        grp[a] = 0
-        for pi in watchers.get(a, ()):
-            countdown[pi] += 1
-
-    def emit(split_events) -> ModificationPlan | None:
-        nonlocal sticky
-        # the input's arcs, arc a relabelled to group grp[a] of its event;
-        # event_at numbers the (event, group) labels by first appearance
-        event_at: dict[tuple[int, int], int] = {}
-        arcs = [(s, event_at.setdefault((e, g), len(event_at)), d) for (s, e, d), g in zip(ts.arcs, grp)]
-        check = _check(tau, budget, False, ts.states, len(event_at), ts.initial, arcs)
-        if sticky is not None:
-            kind, a, b = sticky
-            if kind == ESSP:
-                # not an atom of this candidate when the label is gone or
-                # occurs at the state
-                e, g = a
-                arc = ts.arc_at.get((b, e))
-                a = event_at.get(a)
-                if a is None or (arc is not None and grp[arc] == g):
-                    kind = None
-            if kind is not None and check.refute(kind, a, b) is not None:
-                return None
-        failure = check.first_failure(prop)
-        if failure is not None:
-            kind, a, b, _ = failure
-            sticky = (kind, list(event_at)[a] if kind == ESSP else a, b)
-            return None
-        splits = tuple(
-            (ts.events[e], tuple(grp[a] for a in occ[e])) for e in split_events
-        )
-        return ModificationPlan(kind="split", cost=n_events + sum(extra), splits=splits)
-
-    def run_composition() -> ModificationPlan | None:
-        watchers.clear()
-        for pi, (*_, watchable, _) in enumerate(patterns):
-            watch = [a for a in watchable if extra[event_of[a]]]
-            countdown[pi] = len(watch)
-            for a in watch:
-                watchers.setdefault(a, []).append(pi)
-        split_events = [e for e in range(n_events) if extra[e] > 0]
-
-        # each split event's occurrences as a restricted-growth string into
-        # exactly its group count, event after event, over an explicit stack
-        # of slots: an occurrence's arc, its event's group count, and the
-        # occurrences of that event left after it.  Every failed assign is
-        # undone, so grp is all zero again when no plan is found.
-        slots = [
-            (a, extra[e] + 1, len(occ[e]) - pos - 1)
-            for e in split_events
-            for pos, a in enumerate(occ[e])
-        ]
-        n = len(slots)
-        choice = [-1] * n  # the group at each slot, -1 before its first try
-        opened = [0] * (n + 1)  # the groups its event opened before each slot
-        i = 0
-        while i >= 0:
-            if i == n:
-                found = emit(split_events)
-                if found is not None:
-                    return found
-                i -= 1
-                continue
-            arc, target, rem_after = slots[i]
-            used = opened[i]
-            g = choice[i]
-            if g >= 0:
-                unassign(arc)
-            choice[i] = -1
-            for g in range(g + 1, min(used, target - 1) + 1):
-                now = used + 1 if g == used else used
-                if target - now > rem_after:
-                    continue  # not enough occurrences left to open all groups
-                budget.charge()
-                if assign(arc, g):
-                    choice[i] = g
-                    opened[i + 1] = now if rem_after else 0  # next event from 0
-                    break
-                unassign(arc)
-            i += 1 if choice[i] >= 0 else -1
-        return None
-
-    max_extra = min(kappa - n_events, sum(tops))
-    for total in range(0, max_extra + 1):
-        for xs in _hitting_compositions(tops, total, masks, budget):
-            extra[:] = xs
-            found = run_composition()
-            if found is not None:
-                return found
+    for total in range(min(kappa - n_events, sum(tops)) + 1):
+        for extra in _hitting_compositions(tops, total, masks, budget):
+            for grp in _group_strings(extra, occ, patterns, len(ts.arcs), budget):
+                # the input's arcs, arc a relabelled to group grp[a] of its
+                # event; event_at numbers the (event, group) labels by first
+                # appearance
+                event_at: dict[tuple[int, int], int] = {}
+                arcs = [(s, event_at.setdefault((e, g), len(event_at)), d) for (s, e, d), g in zip(ts.arcs, grp)]
+                check = _check(tau, budget, False, ts.states, len(event_at), ts.initial, arcs)
+                if sticky is not None:
+                    kind, a, b = sticky
+                    if kind == ESSP:
+                        # not an atom of this candidate when the label is
+                        # gone or occurs at the state
+                        e, g = a
+                        arc = ts.arc_at.get((b, e))
+                        a = event_at.get(a)
+                        if a is None or (arc is not None and grp[arc] == g):
+                            kind = None
+                    if kind is not None and check.refute(kind, a, b) is not None:
+                        continue
+                failure = check.first_failure(prop)
+                if failure is not None:
+                    kind, a, b, _ = failure
+                    sticky = (kind, list(event_at)[a] if kind == ESSP else a, b)
+                    continue
+                splits = tuple((ts.events[e], tuple(grp[a] for a in occ[e])) for e in range(n_events) if extra[e])
+                return ModificationPlan(kind="split", cost=n_events + total, splits=splits)
     return None
+
+
+def _group_strings(extra: list[int], occ: list[list[int]], patterns: list[tuple], n_arcs: int, budget):
+    """Every grouping of the split events' occurrences, the events e with
+    extra[e] > 0: event after event, the occurrences occ[e] of each as a
+    restricted-growth string into exactly extra[e] + 1 groups, in
+    lexicographic order.  Yields the group of each of the n_arcs arcs (0
+    for an arc of an unsplit event), one list updated in place.
+
+    patterns are _search_split's even walks (a1, a2, a3, a4, alpha,
+    watchable, refutes).  The walk assigns one slot, an occurrence, after
+    another over an explicit stack, and decides each walk at the last slot
+    among the arcs it watches (due), where every arc it reads has its group:
+    a group that leaves the walk intact, when it refutes on its own or
+    alpha leaves the walk's group, is skipped, and so is every string
+    through it.  A walk that watches no split arc is never decided: the
+    composition must break each refuting one (_hitting_compositions).
+    Charges one node per group tried."""
+    # per slot: its arc, its event's group count, and the occurrences of
+    # that event left after it
+    slots = [(a, x + 1, len(o) - pos - 1) for x, o in zip(extra, occ) if x for pos, a in enumerate(o)]
+    slot_of = {a: i for i, (a, _, _) in enumerate(slots)}
+    n = len(slots)
+    due: list[list[tuple]] = [[] for _ in range(n)]
+    for a1, a2, a3, a4, alpha, watchable, refutes in patterns:
+        watched = [slot_of[a] for a in watchable if a in slot_of]
+        if watched:
+            due[max(watched)].append((a1, a2, a3, a4, alpha, refutes))
+    grp = [0] * n_arcs  # a slot left backwards keeps its group until tried again
+    choice = [-1] * n  # the group at each slot, -1 before its first try
+    opened = [0] * (n + 1)  # the groups its event opened before each slot
+    i = 0
+    while i >= 0:
+        if i == n:
+            yield grp
+            i -= 1
+            continue
+        arc, target, rem_after = slots[i]
+        used = opened[i]
+        g = choice[i]
+        choice[i] = -1
+        for g in range(g + 1, min(used, target - 1) + 1):
+            now = used + 1 if g == used else used
+            if target - now > rem_after:
+                continue  # not enough occurrences left to open all groups
+            budget.charge()
+            grp[arc] = g
+            if not any(
+                grp[a1] == grp[a3] and grp[a2] == grp[a4] and (refutes or grp[alpha] != grp[a1])
+                for a1, a2, a3, a4, alpha, refutes in due[i]
+            ):
+                choice[i] = g
+                opened[i + 1] = now if rem_after else 0  # next event from 0
+                break
+        i += 1 if choice[i] >= 0 else -1
 
 
 def _hitting_compositions(tops: list[int], total: int, masks: list[int], budget):

@@ -153,6 +153,10 @@ class TransitionSystem:
 
     def _validate(self) -> None:
         self.walk()
+        self._validate_events()
+
+    def _validate_events(self) -> None:
+        """Raise UselessEvent for the lowest event without an arc."""
         for e, occ in zip(self.events, self.event_arcs):
             if not occ:
                 raise UselessEvent(e)

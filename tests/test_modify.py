@@ -1,6 +1,7 @@
 """Budgeted modification plans and the exact decision solvers."""
 
 import itertools
+import math
 import random
 import sys
 from functools import reduce
@@ -11,7 +12,7 @@ import pytest
 
 import boolnet as bn
 from boolnet import modify
-from boolnet.modify import _hitting_combos, _hitting_compositions, _split_labels
+from boolnet.modify import _group_strings, _hitting_combos, _hitting_compositions, _split_labels
 import oracles
 
 TAU_D = bn.BooleanType.of("nop", "inp", "swap")
@@ -395,6 +396,42 @@ def test_apply_split_rejects_a_system_with_an_unreached_state():
     assert plan == bn.ModificationPlan(kind="state", cost=1, states=("s2",))
 
 
+def test_decide_rejects_an_event_without_an_arc():
+    # b has no arc, so build rejects the system, though its property holds;
+    # decide used to answer None for split, edge and state removal and to
+    # delete b by event removal
+    ts = bn.TransitionSystem(None, ("s0", "s1"), ("a", "b"), 0, ((0, 0, 1), (1, 0, 0)))
+    assert isinstance(bn.decide_property(ts, TAU_D, "both"), bn.Witness)
+    for kind in modify.KINDS:
+        for mode in bn.MODES:
+            for kappa in (0, 3):
+                with pytest.raises(bn.UselessEvent) as exc:
+                    bn.decide(ts, TAU_D, kind, mode, kappa)
+                assert exc.value.event == "b"
+
+
+def test_apply_plan_rejects_an_event_without_an_arc():
+    # the split plan used to crash with a ValueError from max()
+    ts = bn.TransitionSystem(None, ("s0", "s1"), ("a", "b"), 0, ((0, 0, 1), (1, 0, 0)))
+    plans = (
+        bn.ModificationPlan(kind="split", cost=2, splits=(("b", ()),)),
+        bn.ModificationPlan(kind="split", cost=2),
+        bn.ModificationPlan(kind="event", cost=1, events=("b",)),
+        bn.ModificationPlan(kind="edge", cost=0),
+    )
+    for plan in plans:
+        with pytest.raises(bn.UselessEvent) as exc:
+            bn.apply_plan(ts, plan)
+        assert exc.value.event == "b"
+    # a split plan walks first, as build does; a removal plan checks the
+    # events only, since it may delete the unreached state
+    ts = bn.TransitionSystem(None, ("s0", "s1", "s2"), ("a", "b"), 0, ((0, 0, 1),))
+    with pytest.raises(bn.Unreachable):
+        bn.apply_plan(ts, plans[1])
+    with pytest.raises(bn.UselessEvent):
+        bn.apply_plan(ts, bn.ModificationPlan(kind="state", cost=1, states=("s2",)))
+
+
 def test_swap_only_split_fast_path():
     tau = bn.BooleanType.of("nop", "swap")
     complete = bn.TransitionSystem.build(
@@ -536,6 +573,62 @@ def test_hitting_compositions_match_a_filter_of_product():
             assert budget.used == len(got) + cuts[total] <= len(every), (tops, total, masks)
             skipped += len(every) - len(want)
     assert skipped > 1000
+
+
+def test_group_strings_match_a_filter_of_product():
+    """The split search's group walk yields, per composition, the product of
+    each split event's restricted-growth strings into exactly its group
+    count, event after event, in lexicographic order, minus every string on
+    which an even walk that watches a split arc is intact and refuting.  It
+    charges one node per group it tries: one per prefix of such a string
+    whose own prefix leaves no walk it fully assigns intact and refuting."""
+    rng = random.Random(2023)
+    cut = 0
+    for _ in range(300):
+        if rng.random() < 0.7:
+            ts = oracles.random_abab_ts(rng, max_states=8)[0]
+        else:
+            ts = oracles.random_ts(rng, max_states=5)
+        need_ssp, need_essp = rng.choice([(True, False), (False, True), (True, True)])
+        patterns = []
+        for a1, a2, a3, a4, alpha in modify._abab_patterns(ts):
+            watchable = {a1, a2, a3, a4} | ({alpha} if need_essp and alpha >= 0 else set())
+            patterns.append((a1, a2, a3, a4, alpha, watchable, need_ssp or alpha < 0))
+        occ = ts.event_arcs
+        while True:
+            extra = [rng.randint(0, min(len(o) - 1, 2)) for o in occ]
+            per_event = [list(oracles._rgs(len(o), x + 1)) for x, o in zip(extra, occ) if x]
+            if math.prod(map(len, per_event)) <= 2000:
+                break
+        order = [a for x, o in zip(extra, occ) if x for a in o]  # the arc of each slot
+
+        def dead(string):
+            """Whether a walk whose split arcs the string (a prefix) all
+            assigns is intact and refuting on it."""
+            grp = dict(zip(order, string))
+            for a1, a2, a3, a4, alpha, watchable, refutes in patterns:
+                watched = watchable & set(order)
+                if watched and watched <= set(order[: len(string)]):
+                    g = [grp.get(a, 0) for a in (a1, a2, a3, a4, alpha)]
+                    if g[0] == g[2] and g[1] == g[3] and (refutes or g[4] != g[0]):
+                        return True
+            return False
+
+        every = [sum(combo, ()) for combo in itertools.product(*per_event)]
+        want = []
+        for string in every:
+            if not dead(string):
+                grp = [0] * len(ts.arcs)
+                for a, g in zip(order, string):
+                    grp[a] = g
+                want.append(tuple(grp))
+        tried = {s[: k + 1] for s in every for k in range(len(s)) if not dead(s[:k])}
+        budget = bn.NodeBudget()
+        got = [tuple(grp) for grp in _group_strings(extra, occ, patterns, len(ts.arcs), budget)]
+        assert got == want, (ts.arcs, extra, need_ssp, need_essp)
+        assert budget.used == len(tried), (ts.arcs, extra, need_ssp, need_essp)
+        cut += len(every) - len(want)
+    assert cut > 1000
 
 
 def finish_reference(unmet, r, items, excluded=frozenset()):

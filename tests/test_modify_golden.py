@@ -68,6 +68,14 @@ outcomes, 27 moved from `SearchBudgetExceeded` to an answer, 37 still
 exceed their limit with another node count, and 1,880 held; none moved
 from an answer to `SearchBudgetExceeded`.  The plan and budget digests of
 the corpus, and the split-gadget digest, held through that change.
+
+The split search's group walk later moved out of `modify._search_split`
+into a generator, `modify._group_strings`, which decides each even walk at
+the last slot among the arcs it watches instead of counting those arcs
+down per walk.  That slot is where the count reached 0, so the walk cuts
+the same strings at the same slot and charges the same nodes:
+`SPLIT_GADGET_GOLDEN`, `PLAN_GOLDEN` and the four `BUDGET_GOLDEN` entries
+held unedited through the move.
 """
 
 import hashlib
