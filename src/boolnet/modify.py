@@ -36,15 +36,20 @@ boolnet.linear) the check is GF(2) elimination: no TransitionSystem is
 built, the kernel is never called, and each question charges one node.  The
 core then comes from the refutation itself.  For any other type the check
 builds an anonymous TransitionSystem and asks the kernel: refute is one
-solve_index call, first_failure is decide_property plus, when the removal
-search wants a core, a second solve of the failure atom.  Either way a core
-is a bitmask over the arcs.  The check's events are numbered and its state
-names only name a state its walk misses (split candidates pass the input's,
-removal candidates their original indices), so the searches build no names;
-those appear only in the plans they return.  Either check walks its
-candidate (ts.spanning_tree) while it is built, before it charges a node,
-and raises Unreachable for a state the walk misses: that walk is the one
-reachability test, and the removal search skips such a candidate.  Removal
+solve_index call, first_failure is decide_property's atom loop in index
+space (regions._retire_atoms) plus, when the removal search wants a core, a
+second solve of the failure atom.  Either way a core is a bitmask over the
+arcs.  The check's events are plain indices and its state names only name a
+state its walk misses (split candidates pass the input's, removal
+candidates their original indices), so the searches build no names, no
+Region and no SeparationAtom; names appear only in the plans they return.
+Either check walks its candidate (ts.spanning_tree) while it is built,
+before it charges a node, and raises Unreachable for a state the walk
+misses: that walk is the one reachability test, and the removal search
+skips such a candidate.  Both search loops then ask each candidate one
+question (_first_failure): the atom that refuted the last failing
+candidate, when it is still an atom here and still refuted, else the
+check's first_failure.  Removal
 items are data: each removable edge, event or state is its arc mask plus
 the bit of the state or event it takes with it, so the three removal kinds
 differ only in their item list, and apply_plan and the removal search share
@@ -64,9 +69,8 @@ from .regions import (
     SSP,
     CompiledProblem,
     NodeBudget,
-    Witness,
     _bits,
-    decide_property,
+    _retire_atoms,
     property_for_mode,
 )
 from .ts import MODES, TransitionSystem, directives
@@ -422,14 +426,15 @@ def _check(tau, budget, cores, states, n_events, initial, arcs):
     """
     if is_linear(tau):
         return LinearProblem(states, n_events, initial, arcs, tau, budget, cores)
-    events = tuple(map(str, range(n_events)))
+    events = tuple(range(n_events))
     return _KernelCheck(TransitionSystem(None, tuple(states), events, initial, tuple(arcs)), tau, budget, cores)
 
 
 class _KernelCheck:
     """The candidate check by the search kernel: refute is one solve_index
-    call, and first_failure is decide_property plus, for a core, a second
-    solve of its failure atom that collects the arcs it touched."""
+    call, and first_failure is decide_property's atom loop (_retire_atoms)
+    plus, for a core, a second solve of its failure atom that collects the
+    arcs it touched."""
 
     __slots__ = ("problem", "budget", "cores")
 
@@ -443,14 +448,23 @@ class _KernelCheck:
         return None if sup is not None else core
 
     def first_failure(self, prop: str) -> tuple[int, int, int, int] | None:
-        problem = self.problem
-        result = decide_property(
-            problem.ts, problem.tau, prop, self.budget, problem=problem, canonical_failure=False
-        )
-        if isinstance(result, Witness):
+        failure = _retire_atoms(self.problem, prop, self.budget, False)[0]
+        if failure is None:
             return None
-        kind, a, b = problem.atom_args(result)
-        return (kind, a, b, self.refute(kind, a, b) if self.cores else 0)
+        return (*failure, self.refute(*failure) if self.cores else 0)
+
+
+def _first_failure(check, prop: str, first: tuple | None) -> tuple[int, int, int, int] | None:
+    """The candidate's failure as (kind, a, b, core), or None when it has the
+    property.  first is the atom carried from the last failing candidate, in
+    this candidate's indices, or None when it is no atom here: when the
+    check refutes it, it is the failure, and otherwise the check's
+    first_failure is."""
+    if first is not None:
+        core = check.refute(*first)
+        if core is not None:
+            return (*first, core)
+    return check.first_failure(prop)
 
 
 # -- exact search ------------------------------------------------------------------
@@ -588,25 +602,20 @@ def _search_split(ts, tau, mode, kappa, budget) -> ModificationPlan | None:
                 event_at: dict[tuple[int, int], int] = {}
                 arcs = [(s, event_at.setdefault((e, g), len(event_at)), d) for (s, e, d), g in zip(ts.arcs, grp)]
                 check = _check(tau, budget, False, ts.states, len(event_at), ts.initial, arcs)
-                if sticky is not None:
-                    kind, a, b = sticky
-                    if kind == ESSP:
-                        # not an atom of this candidate when the label is
-                        # gone or occurs at the state
-                        e, g = a
-                        arc = ts.arc_at.get((b, e))
-                        a = event_at.get(a)
-                        if a is None or (arc is not None and grp[arc] == g):
-                            kind = None
-                    if kind is not None and check.refute(kind, a, b) is not None:
-                        continue
-                failure = check.first_failure(prop)
-                if failure is not None:
-                    kind, a, b, _ = failure
-                    sticky = (kind, list(event_at)[a] if kind == ESSP else a, b)
-                    continue
-                splits = tuple((ts.events[e], tuple(grp[a] for a in occ[e])) for e in range(n_events) if extra[e])
-                return ModificationPlan(kind="split", cost=n_events + total, splits=splits)
+                first = sticky
+                if sticky is not None and sticky[0] == ESSP:
+                    # not an atom of this candidate when the label is gone or
+                    # occurs at the state
+                    _, (e, g), b = sticky
+                    arc = ts.arc_at.get((b, e))
+                    a = event_at.get((e, g))
+                    first = None if a is None or (arc is not None and grp[arc] == g) else (ESSP, a, b)
+                failure = _first_failure(check, prop, first)
+                if failure is None:
+                    splits = tuple((ts.events[e], tuple(grp[a] for a in occ[e])) for e in range(n_events) if extra[e])
+                    return ModificationPlan(kind="split", cost=n_events + total, splits=splits)
+                kind, a, b, _ = failure
+                sticky = (kind, list(event_at)[a] if kind == ESSP else a, b)
     return None
 
 
@@ -723,16 +732,6 @@ def _search_removal(ts, tau, kind, mode, kappa, budget) -> ModificationPlan | No
     # the core or loses the atom (the hitting walk, the soft screen).
     hard: list[int] = []
     soft_list: list[tuple] = []
-
-    def record_certificate(arc_origin, key, core):
-        mask = _mask_of(arc_origin[a] for a in _bits(core))
-        if key[3]:
-            soft_list.append((key, mask))
-            return
-        # an item hits it when it breaks the core, or takes the atom's state or event
-        hits = (i for i, item in enumerate(items) if item[1] & mask or not _atom_alive(key, *item[1:]))
-        hard.append(_mask_of(hits))
-
     for combo in _hitting_combos(n_items, min(kappa, n_items), hard, budget):
         removal = _fold(items, combo)
         removed_mask, gone_states, gone_events = removal
@@ -745,23 +744,24 @@ def _search_removal(ts, tau, kind, mode, kappa, budget) -> ModificationPlan | No
             check = _check(tau, budget, True, states, len(events), initial, arcs)
         except Unreachable:
             continue  # raised by the check's walk, before it charges a node
-
+        first = None
         if last_fail is not None and _atom_alive(last_fail, *removal):
             atom_kind, a, b, _ = last_fail
             a = _rank(gone_events if atom_kind == ESSP else gone_states, a)
-            core = check.refute(atom_kind, a, _rank(gone_states, b))
-            if core is not None:
-                record_certificate(arc_origin, last_fail, core)
-                continue
-
-        failure = check.first_failure(prop)
+            first = (atom_kind, a, _rank(gone_states, b))
+        failure = _first_failure(check, prop, first)
         if failure is None:
             names = tuple(items[i][0] for i in combo)
             return ModificationPlan(kind=kind, cost=len(combo), **{kind + "s": names})
         atom_kind, a, b, core = failure
-        key = _atom_key(ts, atom_kind, (events if atom_kind == ESSP else states)[a], states[b])
-        last_fail = key
-        record_certificate(arc_origin, key, core)
+        key = last_fail = _atom_key(ts, atom_kind, (events if atom_kind == ESSP else states)[a], states[b])
+        mask = _mask_of(arc_origin[a] for a in _bits(core))
+        if key[3]:
+            soft_list.append((key, mask))
+        else:
+            # an item hits it when it breaks the core, or takes the atom's state or event
+            hits = (i for i, item in enumerate(items) if item[1] & mask or not _atom_alive(key, *item[1:]))
+            hard.append(_mask_of(hits))
     return None
 
 

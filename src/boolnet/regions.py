@@ -5,13 +5,16 @@ A region assigns every state a bit (support) and every event an interaction
 solve separation atoms; collections of regions covering all atoms of a kind
 form a witness, which is what synthesis consumes.
 
-Inside `decide_property` atoms are index pairs and the atoms still to solve
-are bitmask rows over states: one per state i for the states j > i it must
-still be told apart from (SSP), one per event for the states where it is
-missing and still unsolved (ESSP).  A found region retires atoms with one
+One atom loop, `_retire_atoms`, serves `decide_property` and the kernel
+check of the modification searches (`modify._KernelCheck.first_failure`),
+on a `CompiledProblem`.  In it atoms are index pairs and the atoms still to
+solve are bitmask rows over states: one per state i for the states j > i it
+must still be told apart from (SSP), one per event for the states where it
+is missing and still unsolved (ESSP).  A found region retires atoms with one
 mask operation per row, given its support as a bitmask.  `Region` and
-`SeparationAtom` objects are built only at the boundary: the witness's
-regions, the one failure atom, and the coverage map when it is first read.
+`SeparationAtom` objects are built only at the boundary, by
+`decide_property`: the witness's regions, the one failure atom, and the
+coverage map when it is first read.
 """
 
 from __future__ import annotations
@@ -345,37 +348,20 @@ def solve_atom(
     return region
 
 
-def decide_property(
-    ts: TransitionSystem,
-    tau: BooleanType,
-    prop: str,
-    budget: NodeBudget | None = None,
-    problem: CompiledProblem | None = None,
-    canonical_failure: bool = True,
-) -> Witness | SeparationAtom:
-    """Witness covering all atoms of the property, or an unsolvable atom.
+def _retire_atoms(
+    problem: CompiledProblem, prop: str, budget: NodeBudget | None, canonical_failure: bool
+) -> tuple[tuple[int, int, int] | None, list[tuple[list[int], list[int]]], list, list]:
+    """The atom loop of decide_property, in index space (see the module
+    docstring), on a compiled problem: (failure, found, rows, retired).
 
-    Regions are reused greedily: each found region retires every atom it
-    happens to solve, so no atom is sent to the kernel twice.  For
-    prop="both" the ESSP rows come first (their regions solve most state
-    pairs too).  An unsolvable ESSP atom is then held while the SSP rows run
-    on, so the canonically first unsolvable atom is the one reported, unless
-    canonical_failure is False: then it is the first atom found unsolvable.
-
-    The work is done in index space (see the module docstring): the next
-    atom is the lowest pending bit of the first nonempty row, the kernel
-    gets its indices, and names appear only in the returned regions, the
-    failure atom and the coverage map.  A problem passed in must be compiled
-    for this ts and tau; one compiled for another raises ValueError.
+    failure is the unsolvable atom (kind, a, b) to report, or None when
+    every atom of the property is solved; then found holds each region's
+    (support bits, signature tag ids), and retired, per region, the
+    (row, atoms it retired) pairs over rows, the (kind, event or state
+    index) of each row.  The next atom is the lowest pending bit of the
+    first nonempty row.
     """
-    if prop not in PROPERTIES:
-        raise ValueError(f"unknown property {prop!r}")
-    if problem is None:
-        problem = CompiledProblem(ts, tau)
-    elif problem.ts is not ts and problem.ts != ts:
-        raise ValueError("problem was compiled for another system")
-    elif problem.tau != tau:
-        raise ValueError(f"problem was compiled for type {problem.tau}, not {tau}")
+    ts = problem.ts
     n = len(ts.states)
     full = (1 << n) - 1
     # rows in processing order: (kernel kind, event or state index), and the
@@ -395,7 +381,7 @@ def decide_property(
             rows.append((SSP, i))
             pending.append(full >> (i + 1) << (i + 1))
     n_rows = len(rows)
-    regions: list[Region] = []
+    found: list[tuple[list[int], list[int]]] = []
     retired: list[list[tuple[int, int]]] = []  # per region: (row, atoms it retired)
     held = None  # canonical "both": the first unsolvable ESSP atom
     for r in range(n_rows):
@@ -406,11 +392,11 @@ def decide_property(
             sup, sig, _ = problem.solve_index(kind, a, b, budget)
             if sup is None:
                 if kind == SSP or prop != "both" or not canonical_failure:
-                    return _atom(ts, kind, a, b)
-                held = _atom(ts, kind, a, b)
+                    return (kind, a, b), found, rows, retired
+                held = (kind, a, b)
                 pending[:first_ssp] = [0] * first_ssp  # drop the other ESSP rows
                 break
-            regions.append(problem._region(sup, sig))
+            found.append((sup, sig))
             supmask = 0
             for i, v in enumerate(sup):
                 if v:
@@ -429,9 +415,35 @@ def decide_property(
                             gone.append((k, pend ^ left))
             retired.append(gone)
             todo = pending[r] >> (b + 1) << (b + 1)  # this row's atoms after b
-    if held is not None:
-        return held
-    witness = Witness(regions)
+    return held, found, rows, retired
+
+
+def decide_property(
+    ts: TransitionSystem,
+    tau: BooleanType,
+    prop: str,
+    budget: NodeBudget | None = None,
+    canonical_failure: bool = True,
+) -> Witness | SeparationAtom:
+    """Witness covering all atoms of the property, or an unsolvable atom.
+
+    Regions are reused greedily: each found region retires every atom it
+    happens to solve, so no atom is sent to the kernel twice.  For
+    prop="both" the ESSP rows come first (their regions solve most state
+    pairs too).  An unsolvable ESSP atom is then held while the SSP rows run
+    on, so the canonically first unsolvable atom is the one reported, unless
+    canonical_failure is False: then it is the first atom found unsolvable.
+
+    The work is done in index space by _retire_atoms, and names appear only
+    here, in the returned regions, the failure atom and the coverage map.
+    """
+    if prop not in PROPERTIES:
+        raise ValueError(f"unknown property {prop!r}")
+    problem = CompiledProblem(ts, tau)
+    failure, found, rows, retired = _retire_atoms(problem, prop, budget, canonical_failure)
+    if failure is not None:
+        return _atom(ts, *failure)
+    witness = Witness([problem._region(sup, sig) for sup, sig in found])
     witness._retired = (ts, rows, retired)
     return witness
 

@@ -198,7 +198,7 @@ def test_criterion_3_interleaved_pair_invariant(criteria, witness_registry):
                     if region is not None:
                         regions_seen += 1
                         assert region.support[lo] == region.support[hi], (atom, str(tau))
-                out = bn.decide_property(ts, tau, "both", problem=problem)
+                out = bn.decide_property(ts, tau, "both")
                 if isinstance(out, bn.Witness):
                     for region in out.regions:
                         assert region.support[lo] == region.support[hi], str(tau)

@@ -130,7 +130,7 @@ def test_first_failure_matches_decide_property():
             lin = linear(ts, tau)
             problem = CompiledProblem(ts, tau)
             for prop in ("ssp", "essp", "both"):
-                result = bn.decide_property(ts, tau, prop, problem=problem, canonical_failure=False)
+                result = bn.decide_property(ts, tau, prop, canonical_failure=False)
                 got = lin.first_failure(prop)
                 if isinstance(result, bn.Witness):
                     assert got is None, (str(tau), prop, ts.arcs)

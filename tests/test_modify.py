@@ -306,7 +306,9 @@ def test_decide_split_needs_label_budget():
 
 def test_decide_matches_exhaustive_search():
     """The exact plan, or None, of every kind: the oracle enumerates splits
-    and removals in decide's order, so the least plan must agree too."""
+    and removals in decide's order, so the least plan must agree too.  The
+    last type has no nop: the kernel check then runs where no event may be
+    given nop."""
     rng = random.Random(160289)
     taus = [
         TAU_D,
@@ -314,9 +316,10 @@ def test_decide_matches_exhaustive_search():
         bn.BooleanType.of("nop", "swap"),
         bn.BooleanType.of("nop", "swap", "set", "res"),
         bn.BooleanType.of("nop", "inp", "set"),
+        bn.BooleanType.of("inp", "set", "swap"),
     ]
     split_plans = 0
-    for i in range(20):
+    for i in range(4 * len(taus)):
         ts = oracles.random_ts(rng, max_states=4, max_events=2)
         tau = taus[i % len(taus)]
         for kind in bn.KINDS:
@@ -896,10 +899,11 @@ def test_removal_walk_decides_the_gadget_tails(edges, lam, answer):
 
 
 def test_decide_stays_in_index_space(monkeypatch):
-    # the searches reach the solver only through solve_index and
-    # decide_property, and build their candidates without names: not even
-    # the split search's labels, under a linear type or the kernel's
-    # {nop,inp,set} (the fast path answers {nop,set,res,swap} splits)
+    # the searches reach the solver only through solve_index, build their
+    # candidates without names (not even the split search's labels) and
+    # build no named region or atom, nor turn one back into indices: under
+    # a linear type, and under the kernel's {nop,inp,set} for splits, edge
+    # and state removal (the fast path answers {nop,set,res,swap} splits)
     rng = random.Random(4242)
     tau_kernel = bn.BooleanType.of("nop", "inp", "set")
     cases = []
@@ -911,7 +915,7 @@ def test_decide_stays_in_index_space(monkeypatch):
             for mode in bn.MODES:
                 for kappa in (base, base + 1, base + 2):
                     cases.append((ts, tau, kind, mode, kappa))
-                    if kind == "split":
+                    if kind != "event":
                         cases.append((ts, tau_kernel, kind, mode, kappa))
     want = [bn.decide(*case, node_limit=0) for case in cases]
     assert any(plan is None for plan in want) and any(plan is not None for plan in want)
@@ -921,6 +925,9 @@ def test_decide_stays_in_index_space(monkeypatch):
         raise AssertionError("a search left index space")
 
     monkeypatch.setattr(bn.CompiledProblem, "solve", refuse)
+    monkeypatch.setattr(bn.CompiledProblem, "_region", refuse)
+    monkeypatch.setattr(bn.CompiledProblem, "atom_args", refuse)
+    monkeypatch.setattr(bn.regions, "_atom", refuse)
     monkeypatch.setattr(bn.TransitionSystem, "build", refuse)
     monkeypatch.setattr(modify, "_split_labels", refuse)
     assert [bn.decide(*case, node_limit=0) for case in cases] == want

@@ -24,6 +24,7 @@ def test_every_traced_layer_binds_and_is_restored():
         trace.begin(0)
         bn.decide(ts, bn.BooleanType.of("nop", "set", "res", "swap"), "edge", "realize", 1)
         bn.decide(ts, oracles.TAU_D, "edge", "realize", 1)
+        bn.decide_property(ts, oracles.TAU_D, "both")
         trace.end()
     assert trace.leftovers() == []
     counts = trace.metrics()

@@ -351,23 +351,6 @@ def test_decide_property_rejects_unknown_property():
         bn.decide_property(walkthrough(), TAU, "szzp")
 
 
-def test_decide_property_rejects_a_problem_for_another_system():
-    ts = walkthrough()
-    other = bn.TransitionSystem.build(initial="t0", arcs=[("t0", "a", "t1")])
-    with pytest.raises(ValueError, match="another system"):
-        bn.decide_property(ts, TAU, "both", problem=bn.CompiledProblem(other, TAU))
-    # an equal system compiled separately is the same problem
-    twin = bn.CompiledProblem(walkthrough(), TAU)
-    assert str(bn.decide_property(ts, TAU, "both", problem=twin)) == "(t0,t2)"
-
-
-def test_decide_property_rejects_a_problem_for_another_type():
-    ts = walkthrough()
-    other = bn.BooleanType.of("nop", "set", "res", "swap")
-    with pytest.raises(ValueError, match="compiled for type"):
-        bn.decide_property(ts, TAU, "both", problem=bn.CompiledProblem(ts, other))
-
-
 def test_has_property_agrees_with_decide_property():
     rng = random.Random(404)
     for _ in range(25):
