@@ -28,7 +28,6 @@ from .interactions import (
     BooleanType,
     apply_interaction,
     check_tag,
-    type_ts,
     unapply_interaction,
 )
 from .ts import (
@@ -108,7 +107,7 @@ __all__ = [
     "UnknownId", "UnknownInteraction", "UnknownTransition", "Unreachable",
     "UselessEvent", "VerificationFailed",
     "BRANCH_ORDER", "INTERACTIONS", "BooleanType", "apply_interaction",
-    "check_tag", "type_ts", "unapply_interaction",
+    "check_tag", "unapply_interaction",
     "MODES", "SimulationMap", "TransitionSystem", "check_relation",
     "induced_simulation", "parse_ts", "serialize_ts", "ts_to_dot",
     "PLACE_BOUND", "BooleanNet", "Marking", "fire", "net_to_dot",

@@ -2,8 +2,7 @@
 
 An interaction is a partial function on {0, 1} describing how firing a
 transition connected to a place through it reads/updates the place's value.
-A net type is a nonempty set of interactions; it doubles as a two-state
-transition system over the tags (see type_ts).
+A net type is a nonempty set of interactions.
 """
 
 from __future__ import annotations
@@ -114,23 +113,3 @@ class BooleanType:
     def __str__(self) -> str:
         return ",".join(self.canonical())
 
-
-def type_ts(tau: BooleanType):
-    """The two-state transition system a type denotes: values {0,1}, one arc
-    per defined cell of each member interaction.
-
-    Returned as a TransitionSystem with states "0", "1" and initial "0".
-    Note the result is not always a valid system of this package's core class
-    (an interaction set like {inp} leaves "1" unreachable), so it comes from
-    the constructor, which checks determinism only.
-    """
-    from .ts import TransitionSystem
-
-    tags = tau.canonical()
-    arcs = []
-    for e, tag in enumerate(tags):
-        for x in (0, 1):
-            y = _APPLY[tag][x]
-            if y is not None:
-                arcs.append((x, e, y))
-    return TransitionSystem(f"type[{tau}]", ("0", "1"), tags, 0, tuple(arcs))

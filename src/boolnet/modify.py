@@ -43,17 +43,17 @@ arcs.  The check's events are plain indices and its state names only name a
 state its walk misses (split candidates pass the input's, removal
 candidates their original indices), so the searches build no names, no
 Region and no SeparationAtom; names appear only in the plans they return.
-Either check walks its candidate (ts.spanning_tree) while it is built,
-before it charges a node, and raises Unreachable for a state the walk
-misses: that walk is the one reachability test, and the removal search
-skips such a candidate.  Both search loops then ask each candidate one
-question (_first_failure): the atom that refuted the last failing
-candidate, when it is still an atom here and still refuted, else the
-check's first_failure.  Removal
-items are data: each removable edge, event or state is its arc mask plus
-the bit of the state or event it takes with it, so the three removal kinds
-differ only in their item list, and apply_plan and the removal search share
-one validity screen over those masks (_dead_event) before that walk.
+Either check walks its candidate (ts.spanning_tree; the kernel's in the
+TransitionSystem constructor) while it is built, before it charges a node,
+and raises Unreachable for a state the walk misses: that walk is the one
+reachability test, and the removal search skips such a candidate.  Both
+search loops then ask each candidate one question (_first_failure): the
+atom that refuted the last failing candidate, when it is still an atom
+here and still refuted, else the check's first_failure.  Removal items are
+data: each removable edge, event or state is its arc mask plus the bit of
+the state or event it takes with it, so the three removal kinds differ
+only in their item list, and apply_plan and the removal search share one
+validity screen over those masks (_dead_event) before that walk.
 """
 
 from __future__ import annotations
@@ -148,10 +148,7 @@ def apply_plan(ts: TransitionSystem, plan: ModificationPlan) -> TransitionSystem
     structurally broken payloads, and InvalidPlan(reason) for the semantic
     violations: empty-group, initial-removed, unreachable-state,
     useless-event.  A split plan whose cost is not split_plan_cost raises
-    ParseError, after every other check.  Before all of these, a system
-    with an event without an arc raises UselessEvent, and a split plan
-    checks the system as TransitionSystem.build does, so an unreached state
-    raises Unreachable first.
+    ParseError, after every other check.
     """
     if plan.kind == "split":
         return _apply_split(ts, plan)
@@ -159,7 +156,6 @@ def apply_plan(ts: TransitionSystem, plan: ModificationPlan) -> TransitionSystem
 
 
 def _apply_split(ts: TransitionSystem, plan: ModificationPlan) -> TransitionSystem:
-    ts._validate()  # as build checks it: build drops an arcless state or event
     grp = [0] * len(ts.arcs)
     groups_used: dict[int, int] = {}
     seen_events = set()
@@ -209,7 +205,6 @@ def _removal_items(ts: TransitionSystem, kind: str) -> list[tuple]:
 
 
 def _apply_removal(ts: TransitionSystem, plan: ModificationPlan) -> TransitionSystem:
-    ts._validate_events()  # events only: a state plan may delete an unreached state
     kind = plan.kind
     items = _removal_items(ts, kind)
     index = {item[0]: i for i, item in enumerate(items)}
@@ -230,12 +225,10 @@ def _apply_removal(ts: TransitionSystem, plan: ModificationPlan) -> TransitionSy
         raise InvalidPlan("useless-event", ts.events[e])
     states, events, _, initial, arcs = _restrict(ts, removed_mask, gone_states, gone_events)
     names = tuple(ts.states[s] for s in states), tuple(ts.events[e] for e in events)
-    result = TransitionSystem(ts.name, *names, initial, tuple(arcs))
     try:
-        result.walk()
+        return TransitionSystem(ts.name, *names, initial, tuple(arcs))
     except Unreachable as exc:
         raise InvalidPlan("unreachable-state", exc.state) from None
-    return result
 
 
 def _fold(items: list[tuple], chosen) -> tuple[int, int, int]:
@@ -389,10 +382,9 @@ def decide_fast_path(
     # tables, and neither splitting nor removing edges can complete one.
     # state: a kept state set must give every kept state every event inside
     # it; the largest such set contains the initial state only when every
-    # event occurs everywhere (the walk makes all states reachable, so a
-    # missing occurrence anywhere poisons the initial state), and then it is
-    # every state, so an unsolvable state pair is final
-    ts.walk()
+    # event occurs everywhere (every state is reachable, so a missing
+    # occurrence anywhere poisons the initial state), and then it is every
+    # state, so an unsolvable state pair is final
     if len(ts.arcs) != len(ts.states) * len(ts.events):
         if state:
             return FastPathResult("no", reason="initial state cannot keep all events")
@@ -509,9 +501,6 @@ def decide(
     resolve_node_limit for bad values); crossing it raises
     SearchBudgetExceeded rather than guessing.  Results are deterministic:
     cost first, then composition/subset enumeration order breaks ties.
-    An event without an arc raises UselessEvent, as TransitionSystem.build
-    does, before any answer; an unreached state is left to the search (a
-    state plan may delete it).
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -520,7 +509,6 @@ def decide(
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
     budget = NodeBudget(resolve_node_limit(node_limit))
-    ts._validate_events()
     if kind == "split" and kappa < len(ts.events):
         return None
     fast = decide_fast_path(ts, tau, kind, mode, budget)

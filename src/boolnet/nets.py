@@ -182,10 +182,8 @@ def reachability_graph(net: BooleanNet) -> TransitionSystem:
         warnings.warn(f"dropping dead transitions from reachability graph: {', '.join(dead)}")
     live = [k for k, f in enumerate(fired) if f]
     event_of = {k: e for e, k in enumerate(live)}
-    # Nothing is left for TransitionSystem.build to check: the BFS reaches
-    # every state, every kept event fired, each (marking, transition) pair
-    # gives at most one arc, and marking texts and the net's transition
-    # names are in the identifier class.
+    # The constructor checks all but names, and marking texts and the
+    # net's transition names are in the identifier class.
     return TransitionSystem(
         (net.name + "-rg") if net.name else None,
         tuple(text(m) for m in order),

@@ -191,8 +191,7 @@ def complete_region(
 
     Supports propagate along a BFS from the initial state; since every state
     is reachable this already determines the whole support, and a final pass
-    over all arcs rejects any inconsistency (including odd cycles).  The BFS
-    raises Unreachable when the system holds a state it never reaches.
+    over all arcs rejects any inconsistency (including odd cycles).
     """
     if sup_iota not in (0, 1):
         raise DomainMismatch(f"initial support {sup_iota!r} is not 0 or 1")
@@ -238,15 +237,11 @@ def atoms(ts: TransitionSystem) -> list[SeparationAtom]:
 
 
 class CompiledProblem:
-    """Kernel-ready tables for one (ts, tau) pair; reusable across atoms.
-    Compiling asks for the system's spanning tree, which is walked once per
-    system, so an unreachable state raises Unreachable here and the kernel
-    never sees one."""
+    """Kernel-ready tables for one (ts, tau) pair; reusable across atoms."""
 
     __slots__ = ("ts", "tau", "handle")
 
     def __init__(self, ts: TransitionSystem, tau: BooleanType):
-        ts.walk()
         self.ts = ts
         self.tau = tau
         self.handle = _kernel.prepare(ts, [_TAG_ID[t] for t in tau.branch_order()])

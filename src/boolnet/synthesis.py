@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainMismatch, EventSetMismatch, Unreachable, VerificationFailed
+from .errors import DomainMismatch, EventSetMismatch, VerificationFailed
 from .interactions import BooleanType
 from .nets import BooleanNet, _firing_rule, reachability_graph
 from .regions import (
@@ -53,11 +53,11 @@ def verify_implementation(ts: TransitionSystem, net: BooleanNet, mode: str) -> b
     The net may carry transitions beyond the system's events, but not the
     other way around.  A reachability graph whose live alphabet differs from
     the system's events can never qualify, so that case is False, not an
-    error.  A system with an unreached state raises Unreachable either way.
+    error.
 
-    When the net's transitions are exactly the system's events and every
-    event has an arc, a True comes from firing the net in lockstep with the
-    system (_fires_in_lockstep), which builds no reachability graph.  Every
+    When the net's transitions are exactly the system's events, a True
+    comes from firing the net in lockstep with the system
+    (_fires_in_lockstep), which builds no reachability graph.  Every
     other case and answer builds the graph and compares it with
     check_relation, so each False, exception and dead-transition warning is
     that comparison's.
@@ -68,13 +68,12 @@ def verify_implementation(ts: TransitionSystem, net: BooleanNet, mode: str) -> b
     if missing:
         raise EventSetMismatch(f"net lacks transitions for events: {sorted(missing)}")
     full, rows, m0 = _firing_rule(net)
-    if len(net.transitions) == len(ts.events) and all(ts.event_arcs):
+    if len(net.transitions) == len(ts.events):
         by_event = [rows[net.transitions.index(e)] for e in ts.events]
         if _fires_in_lockstep(ts, mode, full, by_event, m0):
             return True
     rg = reachability_graph(net)
     if set(rg.events) != set(ts.events):
-        ts.walk()  # as check_relation does
         return False
     return check_relation(ts, rg, mode)
 
@@ -84,9 +83,8 @@ def _fires_in_lockstep(
 ) -> bool:
     """Whether the net, given by its firing rule with rows[e] the row of
     the system's event e, implements ts under the mode, on a net whose
-    transitions are exactly the system's events and a system where every
-    event has an arc.  False means "not shown", not "no"; so does a system
-    with an unreached state.
+    transitions are exactly the system's events.  False means "not shown",
+    not "no".
 
     The image of the initial state is m0, each tree arc of the system's
     spanning tree fires its event at the image of its source, and each
@@ -98,10 +96,7 @@ def _fires_in_lockstep(
     closed under firing, so they are every reachable marking; realize for
     both, and is then surjective as well.
     """
-    try:
-        order, chords = ts.walk()
-    except Unreachable:
-        return False
+    order, chords = ts.walk()
     image: list[int | None] = [None] * len(ts.states)
     image[ts.initial] = m0
     arcs = ts.arcs
@@ -136,12 +131,9 @@ def synthesize(
     name: str | None = None,
 ) -> SynthesisResult | SeparationAtom:
     """Synthesize a net implementing ts under the mode, or report the atom
-    blocking it.  ts is first checked as TransitionSystem.build checks it,
-    so a constructor-built system with an unreached state raises Unreachable
-    and one with an arcless event UselessEvent.  Every success is
-    re-verified by verify_implementation, which fires the net in lockstep
-    with ts; a verification failure raises (it indicates an internal bug)."""
-    ts._validate()
+    blocking it.  Every success is re-verified by verify_implementation,
+    which fires the net in lockstep with ts; a verification failure raises
+    (it indicates an internal bug)."""
     result = decide_property(ts, tau, property_for_mode(mode), budget)
     if isinstance(result, SeparationAtom):
         return result

@@ -45,8 +45,11 @@ class TransitionSystem:
 
     Public accessors speak in names; the integer views (arcs, arc_at,
     out_arcs, in_arcs, event_arcs) exist for the solvers: the successor of
-    s by e is arcs[arc_at[(s, e)]][2].  Unlike build, the constructor admits
-    an unreachable state; every check then raises Unreachable (spanning_tree).
+    s by e is arcs[arc_at[(s, e)]][2].  The constructor checks everything
+    build checks but names: it raises NonDeterministic for a repeated
+    (state, event) arc, then Unreachable for the lowest-index state the
+    initial state never reaches (spanning_tree, whose tree it keeps), then
+    UselessEvent for the lowest event without an arc.
     """
 
     __slots__ = (
@@ -83,7 +86,6 @@ class TransitionSystem:
         self.out_arcs: list[list[int]] = [[] for _ in states]
         self.in_arcs: list[list[int]] = [[] for _ in states]
         self.event_arcs: list[list[int]] = [[] for _ in events]
-        self._tree: tuple[list, list] | None = None
         for a, (src, ev, dst) in enumerate(arcs):
             key = (src, ev)
             if key in self.arc_at:
@@ -92,6 +94,10 @@ class TransitionSystem:
             self.out_arcs[src].append(a)
             self.in_arcs[dst].append(a)
             self.event_arcs[ev].append(a)
+        self._tree = spanning_tree(initial, arcs, self.out_arcs, states)
+        for e, occ in zip(events, self.event_arcs):
+            if not occ:
+                raise UselessEvent(e)
 
     # -- construction ---------------------------------------------------------
 
@@ -147,29 +153,14 @@ class TransitionSystem:
                 raise UnknownId(ev, "arc event")
             idx_arcs.append((sx[src], ex[ev], sx[dst]))
 
-        ts = cls(name, tuple(sx), tuple(ex), sx[initial], tuple(idx_arcs))
-        ts._validate()
-        return ts
-
-    def _validate(self) -> None:
-        self.walk()
-        self._validate_events()
-
-    def _validate_events(self) -> None:
-        """Raise UselessEvent for the lowest event without an arc."""
-        for e, occ in zip(self.events, self.event_arcs):
-            if not occ:
-                raise UselessEvent(e)
+        return cls(name, tuple(sx), tuple(ex), sx[initial], tuple(idx_arcs))
 
     # -- queries ---------------------------------------------------------------
 
     def walk(self) -> tuple[list, list]:
-        """The module's spanning_tree of this system, walked on the first
-        call and kept, since the system never changes; callers must not
-        change the lists.  An Unreachable is not kept, so every call on a
-        system with an unreached state walks again and raises."""
-        if self._tree is None:
-            self._tree = spanning_tree(self.initial, self.arcs, self.out_arcs, self.states)
+        """The module's spanning_tree of this system, walked when it was
+        built and kept, since the system never changes; callers must not
+        change the lists."""
         return self._tree
 
     @property
@@ -375,8 +366,7 @@ def induced_simulation(a: TransitionSystem, b: TransitionSystem) -> SimulationMa
     Uniqueness holds because a is reachable and b deterministic: the image of
     the initial state is forced and propagates along every arc.  Plain
     simulation tolerates extra events on the target side; classifying the map
-    (check_relation) requires equal event sets.  The walk over a raises
-    Unreachable when a holds a state its initial state never reaches.
+    (check_relation) requires equal event sets.
     """
     if not set(a.events) <= set(b.events):
         raise EventSetMismatch(

@@ -10,7 +10,6 @@ from boolnet.interactions import (
     BooleanType,
     apply_interaction,
     check_tag,
-    type_ts,
     unapply_interaction,
 )
 from oracles import APPLY
@@ -100,29 +99,3 @@ def test_type_errors():
 def test_type_deduplicates():
     assert BooleanType.of("nop", "nop", "swap").canonical() == ("nop", "swap")
 
-
-def test_type_ts_golden():
-    t = type_ts(BooleanType.of("nop", "inp", "swap"))
-    assert t.states == ("0", "1")
-    assert t.events == ("nop", "inp", "swap")
-    assert t.initial == 0
-    assert t.arcs == ((0, 0, 0), (1, 0, 1), (1, 1, 0), (0, 2, 1), (1, 2, 0))
-
-
-def test_type_ts_matches_apply_table():
-    tau = BooleanType.of(*INTERACTIONS)
-    t = type_ts(tau)
-    have = {(t.states[s], t.events[e], t.states[d]) for (s, e, d) in t.arcs}
-    want = {
-        (str(b), tag, str(APPLY[tag][b]))
-        for tag in INTERACTIONS
-        for b in (0, 1)
-        if APPLY[tag][b] is not None
-    }
-    assert have == want
-
-
-def test_type_ts_tolerates_partial_types():
-    t = type_ts(BooleanType.of("inp"))
-    assert t.states == ("0", "1")
-    assert len(t.arcs) == 1

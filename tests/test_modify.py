@@ -373,68 +373,6 @@ def test_split_plans_do_not_depend_on_the_state_order():
                         assert bn.has_property(modified, tau, bn.property_for_mode(mode))
 
 
-def test_apply_split_rejects_a_system_with_an_unreached_state():
-    # a constructor-built system whose unreachable state s2 has an arc
-    ts = bn.TransitionSystem(None, ("s0", "s1", "s2"), ("a",), 0, ((0, 0, 1), (2, 0, 0)))
-    plan = bn.ModificationPlan(kind="split", cost=2, splits=(("a", (0, 1)),))
-    with pytest.raises(bn.Unreachable) as exc:
-        bn.apply_plan(ts, plan)
-    assert exc.value.state == "s2"
-    # without an arc at s2, building the result from named arcs would drop it
-    arcless = bn.TransitionSystem(None, ("s0", "s1", "s2"), ("a",), 0, ((0, 0, 1),))
-    with pytest.raises(bn.Unreachable) as exc:
-        bn.apply_plan(arcless, bn.ModificationPlan(kind="split", cost=1))
-    assert exc.value.state == "s2"
-    # the split search raises at its first candidate check, as does the
-    # state fast path; the removal search skips the candidates whose
-    # checks' walks raise, and may delete s2 instead
-    for tau in (TAU_D, bn.BooleanType.of("nop", "inp", "set")):
-        with pytest.raises(bn.Unreachable) as exc:
-            bn.decide(ts, tau, "split", "realize", 2)
-        assert exc.value.state == "s2"
-    with pytest.raises(bn.Unreachable) as exc:
-        bn.decide(ts, bn.BooleanType.of("nop", "swap"), "state", "langsim", 1)
-    assert exc.value.state == "s2"
-    plan = bn.decide(ts, TAU_D, "state", "realize", 1)
-    assert plan == bn.ModificationPlan(kind="state", cost=1, states=("s2",))
-
-
-def test_decide_rejects_an_event_without_an_arc():
-    # b has no arc, so build rejects the system, though its property holds;
-    # decide used to answer None for split, edge and state removal and to
-    # delete b by event removal
-    ts = bn.TransitionSystem(None, ("s0", "s1"), ("a", "b"), 0, ((0, 0, 1), (1, 0, 0)))
-    assert isinstance(bn.decide_property(ts, TAU_D, "both"), bn.Witness)
-    for kind in modify.KINDS:
-        for mode in bn.MODES:
-            for kappa in (0, 3):
-                with pytest.raises(bn.UselessEvent) as exc:
-                    bn.decide(ts, TAU_D, kind, mode, kappa)
-                assert exc.value.event == "b"
-
-
-def test_apply_plan_rejects_an_event_without_an_arc():
-    # the split plan used to crash with a ValueError from max()
-    ts = bn.TransitionSystem(None, ("s0", "s1"), ("a", "b"), 0, ((0, 0, 1), (1, 0, 0)))
-    plans = (
-        bn.ModificationPlan(kind="split", cost=2, splits=(("b", ()),)),
-        bn.ModificationPlan(kind="split", cost=2),
-        bn.ModificationPlan(kind="event", cost=1, events=("b",)),
-        bn.ModificationPlan(kind="edge", cost=0),
-    )
-    for plan in plans:
-        with pytest.raises(bn.UselessEvent) as exc:
-            bn.apply_plan(ts, plan)
-        assert exc.value.event == "b"
-    # a split plan walks first, as build does; a removal plan checks the
-    # events only, since it may delete the unreached state
-    ts = bn.TransitionSystem(None, ("s0", "s1", "s2"), ("a", "b"), 0, ((0, 0, 1),))
-    with pytest.raises(bn.Unreachable):
-        bn.apply_plan(ts, plans[1])
-    with pytest.raises(bn.UselessEvent):
-        bn.apply_plan(ts, bn.ModificationPlan(kind="state", cost=1, states=("s2",)))
-
-
 def test_swap_only_split_fast_path():
     tau = bn.BooleanType.of("nop", "swap")
     complete = bn.TransitionSystem.build(

@@ -1,11 +1,14 @@
-"""The spanning-tree walk is the one reachability rule.
+"""The spanning-tree walk is the one reachability rule, and the
+TransitionSystem constructor the one validity rule.
 
 ts.spanning_tree raises Unreachable for the lowest-index state it misses,
-and every check reaches it: through TransitionSystem.walk, or, for
-linear.LinearProblem on a candidate's index arcs, directly.  A second
-reachability test would be a second rule that can drift from the first, so
-no module but ts.py may construct Unreachable, and no module but ts.py and
-linear.py may name spanning_tree, whether it imports, calls or aliases it.
+and every system meets it: the constructor walks each system it builds,
+and linear.LinearProblem walks a candidate's index arcs directly.  The
+constructor also raises NonDeterministic and UselessEvent.  A second test
+for any of these would be a second rule that can drift from the first, so
+no module but ts.py may construct Unreachable, UselessEvent or
+NonDeterministic, and no module but ts.py and linear.py may name
+spanning_tree, whether it imports, calls or aliases it.
 """
 
 import ast
@@ -51,9 +54,15 @@ def test_the_guards_see_calls_imports_and_attributes():
         "        raise errors.Unreachable('s')\n"
         "def walk2(t):\n"
         "    return ts.spanning_tree(0, [], [[]], ['s']) or Unreachable\n"
+        "def check(t):\n"
+        "    if not t.event_arcs[0]:\n"
+        "        raise UselessEvent(t.events[0])\n"
+        "    raise errors.NonDeterministic('s', 'a') from UselessEvent\n"
     )
     tree = ast.parse(src)
     assert constructions(tree, "Unreachable") == [7]
+    assert constructions(tree, "UselessEvent") == [12]
+    assert constructions(tree, "NonDeterministic") == [13]
     assert uses(tree, "spanning_tree") == [1, 5, 9]
 
 
@@ -64,7 +73,8 @@ def test_only_ts_raises_unreachable_and_only_the_walkers_name_spanning_tree():
     for path in modules:
         tree = ast.parse(path.read_text(), filename=str(path))
         if path.name != "ts.py":
-            raised += [f"{path.name}:{line}" for line in constructions(tree, "Unreachable")]
+            for name in ("Unreachable", "UselessEvent", "NonDeterministic"):
+                raised += [f"{path.name}:{line}" for line in constructions(tree, name)]
         if path.name not in ("ts.py", "linear.py"):
             walked += [f"{path.name}:{line}" for line in uses(tree, "spanning_tree")]
     assert raised == []

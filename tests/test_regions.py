@@ -83,27 +83,6 @@ def test_complete_region_rejects_an_initial_support_outside_0_1():
             bn.complete_region(ts, tau, sup_iota, {"x": "swap"})
 
 
-def test_complete_region_raises_unreachable_on_a_relaxed_system():
-    """The constructor admits states the initial state does not reach; the
-    lowest-index one is named, not a bare KeyError from the arc check."""
-    tau = bn.BooleanType.of("nop", "swap")
-    ts = bn.TransitionSystem(None, ("a", "b"), ("x",), 0, ((1, 0, 0),))
-    with pytest.raises(bn.Unreachable) as exc:
-        bn.complete_region(ts, tau, 0, {"x": "nop"})
-    assert exc.value.state == "b"
-    ts = bn.TransitionSystem(None, ("a", "b", "c"), ("x",), 0, ((2, 0, 1), (1, 0, 0)))
-    with pytest.raises(bn.Unreachable) as exc:
-        bn.complete_region(ts, tau, 1, {"x": "swap"})
-    assert exc.value.state == "b"
-    # c has no arcs; the walk raises before the support propagation can
-    # fail (inp is undefined at support 0) and answer None
-    ts = bn.TransitionSystem(None, ("a", "b", "c"), ("x",), 0, ((0, 0, 1),))
-    for sup_iota, tag in ((0, "nop"), (0, "inp")):
-        with pytest.raises(bn.Unreachable) as exc:
-            bn.complete_region(ts, bn.BooleanType.of("nop", "inp"), sup_iota, {"x": tag})
-        assert exc.value.state == "c"
-
-
 def test_complete_region_matches_enumeration():
     """complete_region over every (sup(ι), total signature) pair gives the
     region brute-force enumeration finds for it, or None when there is none."""

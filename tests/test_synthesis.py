@@ -7,7 +7,6 @@ import pytest
 
 import boolnet as bn
 import oracles
-from boolnet.ts import spanning_tree
 
 TAU = bn.BooleanType.of("nop", "inp", "swap")
 
@@ -107,47 +106,6 @@ def test_verify_implementation_live_extra_transition_fails():
     assert bn.verify_implementation(ts, extra, "realize") is False
 
 
-def test_verify_implementation_raises_on_an_unreached_state():
-    # s2 and its arc have no image in any net's reachability graph
-    ts = bn.TransitionSystem(None, ("s0", "s1", "s2"), ("a",), 0, ((0, 0, 1), (2, 0, 0)))
-    chain = bn.TransitionSystem.build("s0", [("s0", "a", "s1")])
-    net = bn.synthesize(chain, TAU, "realize").net
-    with pytest.raises(bn.Unreachable):
-        bn.verify_implementation(ts, net, "realize")
-    # s2 without arcs, and synthesis itself on the relaxed system
-    ts = bn.TransitionSystem(None, ("s0", "s1", "s2"), ("a",), 0, ((0, 0, 1),))
-    for mode in bn.MODES:
-        with pytest.raises(bn.Unreachable) as exc:
-            bn.verify_implementation(ts, net, mode)
-        assert exc.value.state == "s2"
-        with pytest.raises(bn.Unreachable) as exc:
-            bn.synthesize(ts, TAU, mode)
-        assert exc.value.state == "s2"
-    # b occurs only at s2 and never fires in the net, so the live alphabets
-    # differ; the unreached state still raises rather than answering False
-    ts = bn.TransitionSystem(None, ("s0", "s1", "s2"), ("a", "b"), 0, ((0, 0, 1), (2, 1, 0)))
-    net = bn.BooleanNet(None, TAU, ("p",), ("a", "b"), {("p", "b"): "inp"}, (0,))
-    with pytest.warns(UserWarning, match="dead transitions"):
-        with pytest.raises(bn.Unreachable) as exc:
-            bn.verify_implementation(ts, net, "langsim")
-    assert exc.value.state == "s2"
-
-
-def test_synthesize_checks_the_system_as_build_does():
-    # b has no arc, so build rejects the system; its property holds, but
-    # without the check langsim and realize fail their own verification
-    ts = bn.TransitionSystem(None, ("s0", "s1"), ("a", "b"), 0, ((0, 0, 1), (1, 0, 0)))
-    for mode in bn.MODES:
-        with pytest.raises(bn.UselessEvent) as exc:
-            bn.synthesize(ts, TAU, mode)
-        assert exc.value.event == "b"
-    # as in build, an unreached state is reported first
-    ts = bn.TransitionSystem(None, ("s0", "s1", "s2"), ("a", "b"), 0, ((0, 0, 1),))
-    with pytest.raises(bn.Unreachable) as exc:
-        bn.synthesize(ts, TAU, "embed")
-    assert exc.value.state == "s2"
-
-
 def test_synthesized_nets_verify_for_their_mode():
     rng = random.Random(60902)
     produced = 0
@@ -239,7 +197,6 @@ def reference_verify(ts, net, mode):
         raise bn.EventSetMismatch(f"net lacks transitions for events: {sorted(missing)}")
     rg = bn.reachability_graph(net)
     if set(rg.events) != set(ts.events):
-        spanning_tree(ts.initial, ts.arcs, ts.out_arcs, ts.states)  # Unreachable before False
         return False
     return bn.check_relation(ts, rg, mode)
 
@@ -279,19 +236,18 @@ def _reversed(net):
     return bn.BooleanNet(None, net.tau, net.places, net.transitions[::-1], net.flow, net.m0)
 
 
-def _unreached(ts, rng):
-    """ts with a state its initial state never reaches, with or without an
-    arc."""
-    arcs = ts.arcs + (((len(ts.states), 0, 0),) if rng.random() < 0.5 else ())
-    return bn.TransitionSystem(None, ts.states + ("zz",), ts.events, ts.initial, arcs)
+def _looped(ts):
+    """ts with a self-loop of a new event zz at its initial state."""
+    arcs = ts.arcs + ((ts.initial, len(ts.events), ts.initial),)
+    return bn.TransitionSystem(None, ts.states, ts.events + ("zz",), ts.initial, arcs)
 
 
 def verification_corpus(seed):
     """(system, net) pairs: synthesized nets and nets read off reachability
     graphs, each also mutated in its flow or m0, given an extra transition
-    zz, with its transitions reordered, against the system with zz as an
-    event without arcs (with and without the extra transition), and against
-    the system with an unreached state."""
+    zz, with its transitions reordered, and against the system with a zz
+    self-loop at its initial state (with and without the extra
+    transition)."""
     rng = random.Random(seed)
     exact = []
     for _ in range(30):
@@ -311,9 +267,8 @@ def verification_corpus(seed):
     pairs = list(exact)
     for ts, net in exact:
         extra = _with_extra_transition(rng, net)
-        arcless = bn.TransitionSystem(None, ts.states, ts.events + ("zz",), ts.initial, ts.arcs)
-        pairs += [(ts, extra), (arcless, extra), (arcless, net), (ts, _reversed(net))]
-        pairs.append((_unreached(ts, rng), net))
+        looped = _looped(ts)
+        pairs += [(ts, extra), (looped, extra), (looped, net), (ts, _reversed(net))]
         if net.places:
             pairs += [(ts, _mutated_flow(rng, net)), (ts, _mutated_m0(rng, net))]
     chain = bn.TransitionSystem.build("s0", [("s0", "a", "s1")])
@@ -333,7 +288,6 @@ def test_verify_implementation_matches_the_full_reachability_graph():
             seen.update("warned" for _ in caught)
     assert seen == {
         True, False, "warned", "ValueError", "EventSetMismatch", "PlaceBoundExceeded",
-        "Unreachable",
     }
 
 

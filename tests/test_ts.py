@@ -63,6 +63,45 @@ def test_build_rejects_useless_event():
         )
 
 
+def _rejection(fn, *args, **kwargs):
+    with pytest.raises(bn.BoolnetError) as exc:
+        fn(*args, **kwargs)
+    return type(exc.value), str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "states, events, arcs, error, message",
+    [
+        # unreached states: the lowest index is named, with or without arcs
+        (("s0", "s1", "s2"), ("a",), ((0, 0, 1),), bn.Unreachable, "'s2'"),
+        (("s0", "s1", "s2"), ("a",), ((0, 0, 1), (2, 0, 0)), bn.Unreachable, "'s2'"),
+        (("s0", "s1", "s2", "s3"), ("a",), ((0, 0, 1), (3, 0, 0)), bn.Unreachable, "'s2'"),
+        (
+            ("s0", "s1", "s2"),
+            ("a", "b"),
+            ((0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 1), (2, 0, 0)),
+            bn.Unreachable,
+            "'s2'",
+        ),
+        # events without an arc: the lowest is named
+        (("s0", "s1"), ("a", "b", "c"), ((0, 0, 1), (1, 0, 0)), bn.UselessEvent, "'b'"),
+        # in build's order: determinism, then reachability, then events
+        (("s0", "s1", "s2"), ("a",), ((0, 0, 1), (0, 0, 0)), bn.NonDeterministic, "'s0'"),
+        (("s0", "s1", "s2"), ("a", "b"), ((0, 0, 1),), bn.Unreachable, "'s2'"),
+    ],
+    ids=[
+        "unreached-without-arcs", "unreached-with-an-arc", "two-unreached",
+        "unreached-in-a-complete-part", "arcless-events", "nondeterministic-first",
+        "unreached-before-arcless",
+    ],
+)
+def test_constructor_rejects_what_build_rejects(states, events, arcs, error, message):
+    got = _rejection(bn.TransitionSystem, None, states, events, 0, arcs)
+    assert got[0] is error and message in got[1]
+    named = [(states[s], events[e], states[d]) for s, e, d in arcs]
+    assert _rejection(bn.TransitionSystem.build, states[0], named, states=states, events=events) == got
+
+
 def test_build_rejects_unknown_ids():
     with pytest.raises(bn.UnknownId):
         bn.TransitionSystem.build(initial="z", arcs=[("a", "x", "a")], states=["a"])
@@ -251,29 +290,6 @@ def test_check_relation_modes():
     assert bn.check_relation(a, longer, "realize") is False
 
 
-def test_simulation_raises_on_a_source_state_it_never_reaches():
-    # a constructor-built source may hold states its initial state never
-    # reaches; they have no image, so no mode may hold
-    b = bn.TransitionSystem.build("s0", [("s0", "a", "s1")])
-    a = bn.TransitionSystem(None, ("s0", "s1", "s2"), ("a",), 0, ((0, 0, 1), (2, 0, 0)))
-    with pytest.raises(bn.Unreachable) as exc:
-        bn.induced_simulation(a, b)
-    assert exc.value.state == "s2"
-    for mode in bn.MODES:
-        with pytest.raises(bn.Unreachable):
-            bn.check_relation(a, b, mode)
-    # two unreached states, one without arcs: the lower index is named
-    a = bn.TransitionSystem(None, ("s0", "s1", "s2", "s3"), ("a",), 0, ((0, 0, 1), (3, 0, 0)))
-    with pytest.raises(bn.Unreachable) as exc:
-        bn.check_relation(a, b, "embed")
-    assert exc.value.state == "s2"
-    # the map fails on the tree (b has no a at s1): the walk raises first
-    a = bn.TransitionSystem(None, ("s0", "s1", "s2", "s3"), ("a",), 0, ((0, 0, 1), (1, 0, 2)))
-    with pytest.raises(bn.Unreachable) as exc:
-        bn.induced_simulation(a, b)
-    assert exc.value.state == "s3"
-
-
 def test_check_relation_requires_equal_alphabets():
     with pytest.raises(bn.EventSetMismatch):
         bn.check_relation(chain("a"), chain("a", "b"), "embed")
@@ -382,9 +398,11 @@ def test_reflects_events_is_false_for_target_only_events():
 
 
 def test_a_system_is_walked_once(monkeypatch):
-    """The spanning tree is walked on first use and kept: parsing a system,
-    then synthesizing a net for it and verifying that net, walks it once.
-    A walk that raises Unreachable is not kept, so it raises every time."""
+    """The constructor walks each system it builds and keeps the tree:
+    parsing a system walks it once, and synthesizing a net for it and
+    verifying that net walk it no more; a reachability graph is walked once
+    when it is built; and a decision on the kernel walks each candidate it
+    builds once, in the candidate's constructor."""
     walks = []
     walk = bn.ts.spanning_tree
 
@@ -398,11 +416,22 @@ def test_a_system_is_walked_once(monkeypatch):
     result = bn.synthesize(ts, bn.BooleanType.of("nop", "inp", "set", "swap"), "realize")
     assert isinstance(result, bn.SynthesisResult) and result.verified
     assert len(walks) == 1 and ts.walk() is ts.walk()
-    relaxed = bn.TransitionSystem(None, ("s0", "s1", "s2"), ("a",), 0, ((0, 0, 1),))
-    for _ in range(2):
-        with pytest.raises(bn.Unreachable):
-            relaxed.walk()
-    assert len(walks) == 3
+
+    rg = bn.reachability_graph(result.net)
+    assert len(walks) == 2 and rg.walk() is rg.walk()
+
+    built = []
+    init = bn.TransitionSystem.__init__
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    ts = oracles.flip_flop_ts(3)
+    walks.clear()
+    monkeypatch.setattr(bn.TransitionSystem, "__init__", counted_init)
+    bn.decide(ts, bn.BooleanType.of("nop", "inp", "set"), "edge", "realize", 3)
+    assert len(built) > 1 and len(walks) == len(built)
 
 
 @pytest.mark.parametrize(
